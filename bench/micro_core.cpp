@@ -1,15 +1,13 @@
 // Microbenchmarks (google-benchmark): hot-path substrate costs — the event
-// engine, the reservation ledger, the SIMD admission kernels, RNG, quantiles,
-// chain-choice sampling, and a full v-MLP planning round.
+// engine, the reservation ledger, RNG, quantiles, chain-choice sampling, and a
+// full v-MLP planning round.
 #include <benchmark/benchmark.h>
 
-#include <limits>
 #include <vector>
 
 #include "app/dag.h"
 #include "cluster/reservation.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "sim/engine.h"
 #include "stats/percentile.h"
 #include "trace/profile_store.h"
@@ -46,15 +44,8 @@ void BM_EngineCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancel);
 
-// Ledger benchmarks run once per backend: Arg(0) = the indexed flat vector
-// (the production fast path), Arg(1) = the legacy map-backed reference.
-cluster::ReservationLedger::Backend ledger_backend(const benchmark::State& state) {
-  return state.range(0) == 0 ? cluster::ReservationLedger::Backend::kFlat
-                             : cluster::ReservationLedger::Backend::kLegacyMap;
-}
-
 void BM_LedgerReserveRelease(benchmark::State& state) {
-  cluster::ReservationLedger ledger({4000, 16384, 1000}, ledger_backend(state));
+  cluster::ReservationLedger ledger({4000, 16384, 1000});
   Rng rng(1);
   SimTime t = 0;
   for (auto _ : state) {
@@ -69,10 +60,10 @@ void BM_LedgerReserveRelease(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_LedgerReserveRelease)->Arg(0)->Arg(1);
+BENCHMARK(BM_LedgerReserveRelease);
 
 void BM_LedgerFits(benchmark::State& state) {
-  cluster::ReservationLedger ledger({4000, 16384, 1000}, ledger_backend(state));
+  cluster::ReservationLedger ledger({4000, 16384, 1000});
   Rng rng(2);
   // Pre-populate a realistic profile: ~64 overlapping reservations.
   for (int i = 0; i < 64; ++i) {
@@ -84,12 +75,12 @@ void BM_LedgerFits(benchmark::State& state) {
     benchmark::DoNotOptimize(ledger.fits(t0, t0 + 10000, {1500, 512, 100}));
   }
 }
-BENCHMARK(BM_LedgerFits)->Arg(0)->Arg(1);
+BENCHMARK(BM_LedgerFits);
 
 void BM_LedgerFitsContended(benchmark::State& state) {
   // A saturated profile (~512 overlapping reservations) where most probes
   // fail — the admission-storm regime the block index exists for.
-  cluster::ReservationLedger ledger({4000, 16384, 1000}, ledger_backend(state));
+  cluster::ReservationLedger ledger({4000, 16384, 1000});
   Rng rng(7);
   for (int i = 0; i < 512; ++i) {
     const SimTime t0 = rng.uniform_int(0, 100000);
@@ -100,14 +91,13 @@ void BM_LedgerFitsContended(benchmark::State& state) {
     benchmark::DoNotOptimize(ledger.fits(t0, t0 + 10000, {1500, 512, 100}));
   }
 }
-BENCHMARK(BM_LedgerFitsContended)->Arg(0)->Arg(1);
+BENCHMARK(BM_LedgerFitsContended);
 
 void BM_LedgerChurn(benchmark::State& state) {
   // Admission-like interleaving: one reserve + one release, then a burst of
-  // queries — the regime where the lazy index (and, on a SIMD target, SoA
-  // mirror) rebuild cost actually shows. Queries-only benchmarks above hide
+  // queries — the regime where the lazy index rebuild cost actually shows. Queries-only benchmarks above hide
   // it: their profiles go quiescent after warm-up.
-  cluster::ReservationLedger ledger({4000, 16384, 1000}, ledger_backend(state));
+  cluster::ReservationLedger ledger({4000, 16384, 1000});
   Rng rng(11);
   struct Win {
     SimTime t0, t1;
@@ -138,10 +128,10 @@ void BM_LedgerChurn(benchmark::State& state) {
     ++t;
   }
 }
-BENCHMARK(BM_LedgerChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_LedgerChurn);
 
 void BM_LedgerEarliestFit(benchmark::State& state) {
-  cluster::ReservationLedger ledger({4000, 16384, 1000}, ledger_backend(state));
+  cluster::ReservationLedger ledger({4000, 16384, 1000});
   Rng rng(8);
   for (int i = 0; i < 256; ++i) {
     const SimTime t0 = rng.uniform_int(0, 100000);
@@ -153,64 +143,7 @@ void BM_LedgerEarliestFit(benchmark::State& state) {
         ledger.earliest_fit(from, 5000, {2000, 512, 100}, /*horizon=*/200000));
   }
 }
-BENCHMARK(BM_LedgerEarliestFit)->Arg(0)->Arg(1);
-
-// SIMD kernel legs run once per dispatch target: Arg = Target enum value
-// (0 scalar, 1 sse2, 2 avx2, 3 neon). Targets the host cannot run (or that a
-// -DVMLP_NO_SIMD build compiled out) are skipped, not failed, so one binary
-// reports whatever its runner can measure. The kernels are called through the
-// table directly — they are pure functions, so no dispatch override is needed
-// and the scalar leg is always a same-binary baseline.
-
-/// Ledger-like plane: levels such that level + add always exceeds the bound —
-/// the saturated admission-storm case where span-fit folds the full range
-/// (no early accept) and find-first scans to the end.
-std::vector<double> saturated_plane(std::size_t n) {
-  std::vector<double> v(n);
-  Rng rng(9);
-  for (double& x : v) x = rng.uniform(55.0, 95.0);
-  return v;
-}
-
-void BM_SimdSpanFit(benchmark::State& state) {
-  const auto target = static_cast<simd::Target>(state.range(0));
-  const simd::KernelTable* k = simd::table_for(target);
-  if (k == nullptr) {
-    state.SkipWithError("dispatch target not reachable on this host/build");
-    return;
-  }
-  constexpr std::size_t kN = 4096;
-  const auto a = saturated_plane(kN);
-  const auto b = saturated_plane(kN);
-  const auto c = saturated_plane(kN);
-  const double add[3] = {50.0, 50.0, 50.0};
-  const double bound[3] = {100.0, 100.0, 100.0};
-  for (auto _ : state) {
-    double m[3];
-    m[0] = m[1] = m[2] = std::numeric_limits<double>::infinity();
-    benchmark::DoNotOptimize(k->span_fit3(a.data(), b.data(), c.data(), kN, add, bound, m));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kN));
-}
-BENCHMARK(BM_SimdSpanFit)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_SimdBlockRefresh(benchmark::State& state) {
-  // The cell-topology refold: reduce_max1 over one 32-machine block of
-  // cached free fractions (note_mutation's hot loop body).
-  const auto target = static_cast<simd::Target>(state.range(0));
-  const simd::KernelTable* k = simd::table_for(target);
-  if (k == nullptr) {
-    state.SkipWithError("dispatch target not reachable on this host/build");
-    return;
-  }
-  const auto fractions = saturated_plane(32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(k->reduce_max1(fractions.data(), fractions.size()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_SimdBlockRefresh)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_LedgerEarliestFit);
 
 void BM_RngLognormal(benchmark::State& state) {
   Rng rng(3);

@@ -19,9 +19,8 @@
 //                    (tools/bench_compare.py --floor) refuses to enforce
 //                    speedup floors against a noisy run.
 //   4. sched.*     — admission throughput on a contended 100-machine fig13
-//                    cell: placements/sec with the indexed-ledger fast path
-//                    (the regression-gated metric) and with the legacy
-//                    map-backed reference (legacy ledger, fast path off),
+//                    cell: placements/sec with the admission fast path (the
+//                    regression-gated metric) and with the fast path off,
 //                    cross-checked to be decision-identical.
 //   5. obs.*       — telemetry-collection overhead: engine cascade and a
 //                    fig13 scenario with the collector on vs off, reported
@@ -52,27 +51,11 @@
 //                    request stream must not change the run's memory class.
 //                    `scale10k` is the 10k-machine/40-cell leg, gated to the
 //                    nightly/labelled CI run.
-//   7. ledger.*    — SIMD admission-kernel probe: the dispatched span-fit
-//                    fold vs the same-binary scalar reference over a
-//                    saturated synthetic profile (full-range folds, the
-//                    admission-storm worst case). Reports the scalar
-//                    throughput (regression-gated: the forced-scalar path
-//                    must never pay for the SIMD work) and, when a vector
-//                    target is active, ledger.simd_speedup (CI floors it at
-//                    1.15x on AVX2 runners). Verdict and fold bits are
-//                    cross-checked scalar-vs-active before timing.
-//
-//                    The sched and scale families emit the same pair one
-//                    level up: a forced-scalar rerun of the whole simulation
-//                    (sched.scalar_placements_per_sec / sched.simd_speedup,
-//                    scale.scalar_placements_per_sec / scale.simd_speedup),
-//                    placement-count cross-checked against the dispatched
-//                    run — the end-to-end form of the byte-identical claim.
 //
 // Usage: perf_harness [output.json] [--family name[,name...]]
 //   output.json  destination (default: BENCH_core.json)
 //   --family     run only the named families: engine, scenarios, trials,
-//                sched, obs, ledger, scale, scale10k (default: all except
+//                sched, obs, scale, scale10k (default: all except
 //                the opt-in scale legs). The CI scaling job runs
 //                `--family trials` so the thread-scaling gate doesn't pay
 //                for the whole suite.
@@ -80,9 +63,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <iomanip>
 #include <iostream>
 #include <set>
@@ -93,7 +74,6 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "exp/trial_runner.h"
 #include "obs/collector.h"
 #include "sim/engine.h"
@@ -251,52 +231,6 @@ ScaleRun run_scale(const exp::ExperimentConfig& config) {
   return r;
 }
 
-// ---- 7. SIMD kernel probe + forced-scalar reruns ---------------------------
-
-/// Forces the scalar dispatch table for one scope (the harness is
-/// single-threaded outside the trials family's pools, which never run while
-/// a ScopedScalar is live).
-class ScopedScalar {
- public:
-  ScopedScalar() : prev_(simd::active_target()) {
-    simd::set_target_for_testing(simd::Target::kScalar);
-  }
-  ~ScopedScalar() { simd::set_target_for_testing(prev_); }
-  ScopedScalar(const ScopedScalar&) = delete;
-  ScopedScalar& operator=(const ScopedScalar&) = delete;
-
- private:
-  simd::Target prev_;
-};
-
-/// Times one kernel table's span-fit fold over a saturated profile (every
-/// level + demand exceeds the bound, so each call folds the full range — no
-/// early accept). Returns million segment-lanes folded per second.
-double spanfit_mops(const simd::KernelTable& k, const std::vector<double>& a,
-                    const std::vector<double>& b, const std::vector<double>& c) {
-  const double add[3] = {50.0, 50.0, 50.0};
-  const double bound[3] = {100.0, 100.0, 100.0};
-  const std::size_t n = a.size();
-  // Calibrated batches: fold until ~0.25 s has elapsed (the kernel is an
-  // indirect call through the table, so the loop cannot be folded away).
-  std::size_t calls = 0;
-  const auto start = Clock::now();
-  double sec = 0.0;
-  do {
-    for (int batch = 0; batch < 256; ++batch) {
-      double m[3];
-      m[0] = m[1] = m[2] = std::numeric_limits<double>::infinity();
-      if (k.span_fit3(a.data(), b.data(), c.data(), n, add, bound, m)) {
-        std::cerr << "FAIL: saturated span-fit probe reported a fit\n";
-        std::exit(1);
-      }
-    }
-    calls += 256;
-    sec = elapsed_sec(start);
-  } while (sec < 0.25);
-  return static_cast<double>(calls) * static_cast<double>(n) / sec / 1e6;
-}
-
 /// Coefficient of variation (stddev / mean) of the repetitions — the run's
 /// noise estimate that bench_compare's floor gate reads.
 double cov_of(const std::vector<double>& v) {
@@ -317,7 +251,7 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_core.json";
   std::set<std::string> families;  // empty = all
   static const std::set<std::string> kKnownFamilies = {
-      "engine", "scenarios", "trials", "sched", "obs", "ledger", "scale", "scale10k"};
+      "engine", "scenarios", "trials", "sched", "obs", "scale", "scale10k"};
   // Opt-in families: minutes-long, only run when named explicitly.
   static const std::set<std::string> kOptInFamilies = {"scale", "scale10k"};
   for (int i = 1; i < argc; ++i) {
@@ -445,7 +379,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4. Admission fast path vs the legacy reference on a contended cell.
+  // 4. Admission fast path vs the fast-path-off reference on a contended cell.
   // Same simulation both ways — the modes are byte-identical in decisions
   // (determinism_check claim 5), so placements cancel out. The denominator
   // is RunResult::policy_seconds — host time spent inside scheduler
@@ -469,12 +403,11 @@ int main(int argc, char** argv) {
   sched_config.pattern_params.l2_min_rate *= kContentionMult;
   sched_config.pattern_params.l2_max_step *= kContentionMult;
   vmlp::exp::ExperimentConfig sched_reference = sched_config;
-  sched_reference.driver.cluster.legacy_ledger = true;
   sched_reference.vmlp.admission_fast_path = false;
 
   const auto fast_result = vmlp::exp::run_experiment(sched_config);
   const double fast_sec = fast_result.run.policy_seconds;
-  std::fprintf(stderr, "sched placement benchmark (reference ledger)...\n");
+  std::fprintf(stderr, "sched placement benchmark (fast path off)...\n");
   const auto ref_result = vmlp::exp::run_experiment(sched_reference);
   const double ref_sec = ref_result.run.policy_seconds;
 
@@ -496,35 +429,6 @@ int main(int argc, char** argv) {
   metrics.emplace_back("sched.fast_path_speedup", ref_sec / fast_sec);
   std::fprintf(stderr, "  %.0f placements/sec fast, %.0f reference (%.2fx)\n",
                placements / fast_sec, placements / ref_sec, ref_sec / fast_sec);
-
-  // Forced-scalar rerun of the fast-path config: same flat ledger, SIMD
-  // kernels swapped for the scalar reference. Placements must match exactly
-  // (the byte-identical dispatch contract, end to end); the throughput pair
-  // is what CI gates — the scalar figure against its own baseline (the
-  // scalar path must never pay for the SIMD machinery) and, when a vector
-  // target is active, the speedup floor.
-  if (simd::enabled()) {
-    std::fprintf(stderr, "sched placement benchmark (forced scalar)...\n");
-    ScopedScalar forced;
-    const auto scalar_result = vmlp::exp::run_experiment(sched_config);
-    const double scalar_sec = scalar_result.run.policy_seconds;
-    if (scalar_result.run.placements != fast_result.run.placements ||
-        scalar_result.run.completed != fast_result.run.completed) {
-      std::cerr << "FAIL: forced-scalar run diverged from the SIMD run (placements "
-                << scalar_result.run.placements << " vs " << fast_result.run.placements
-                << ", completed " << scalar_result.run.completed << " vs "
-                << fast_result.run.completed << ") — the SIMD kernels changed a decision\n";
-      return 1;
-    }
-    if (scalar_sec <= 0) {
-      std::cerr << "FAIL: zero policy time in the forced-scalar sched run\n";
-      return 1;
-    }
-    metrics.emplace_back("sched.scalar_placements_per_sec", placements / scalar_sec);
-    metrics.emplace_back("sched.simd_speedup", scalar_sec / fast_sec);
-    std::fprintf(stderr, "  %.0f placements/sec scalar (simd %.2fx)\n",
-                 placements / scalar_sec, scalar_sec / fast_sec);
-  }
   }
 
   // 5. Telemetry-collection overhead (obs_overhead family). Each leg reports
@@ -614,58 +518,6 @@ int main(int argc, char** argv) {
                scenario_on_sec * 1000.0, attribution_sec * 1000.0, attribution_ratio);
   }
 
-  // 7. SIMD kernel probe: the dispatched span-fit fold vs the same-binary
-  // scalar reference on an identical saturated profile. Bit-equality of the
-  // verdict and the reject-path fold is asserted before any timing — a
-  // mismatch here means the dispatch contract is broken and every ledger
-  // number below would be garbage.
-  if (family_on("ledger")) {
-    std::fprintf(stderr, "ledger kernel probe (%s active)...\n",
-                 simd::target_name(simd::active_target()));
-    const simd::KernelTable* scalar_table = simd::table_for(simd::Target::kScalar);
-    const simd::KernelTable& active_table = simd::kernels();
-    constexpr std::size_t kPlaneLen = 4096;
-    vmlp::Rng rng(2024);
-    std::vector<double> pa(kPlaneLen);
-    std::vector<double> pb(kPlaneLen);
-    std::vector<double> pc(kPlaneLen);
-    for (std::size_t i = 0; i < kPlaneLen; ++i) {
-      pa[i] = rng.uniform(55.0, 95.0);
-      pb[i] = rng.uniform(55.0, 95.0);
-      pc[i] = rng.uniform(55.0, 95.0);
-    }
-    {
-      const double add[3] = {50.0, 50.0, 50.0};
-      const double bound[3] = {100.0, 100.0, 100.0};
-      double m_scalar[3];
-      double m_active[3];
-      m_scalar[0] = m_scalar[1] = m_scalar[2] = std::numeric_limits<double>::infinity();
-      m_active[0] = m_active[1] = m_active[2] = std::numeric_limits<double>::infinity();
-      const bool fit_scalar = scalar_table->span_fit3(pa.data(), pb.data(), pc.data(),
-                                                      kPlaneLen, add, bound, m_scalar);
-      const bool fit_active = active_table.span_fit3(pa.data(), pb.data(), pc.data(),
-                                                     kPlaneLen, add, bound, m_active);
-      if (fit_scalar != fit_active || m_scalar[0] != m_active[0] ||
-          m_scalar[1] != m_active[1] || m_scalar[2] != m_active[2]) {
-        std::cerr << "FAIL: scalar and " << simd::target_name(active_table.target)
-                  << " span-fit disagree on the probe profile — dispatch contract broken\n";
-        return 1;
-      }
-    }
-    (void)spanfit_mops(*scalar_table, pa, pb, pc);  // warm-up
-    const double scalar_mops = spanfit_mops(*scalar_table, pa, pb, pc);
-    metrics.emplace_back("ledger.scalar_spanfit_mops", scalar_mops);
-    std::fprintf(stderr, "  scalar: %.0f Mlanes/sec\n", scalar_mops);
-    if (simd::enabled()) {
-      const double active_mops = spanfit_mops(active_table, pa, pb, pc);
-      metrics.emplace_back("ledger.spanfit_mops", active_mops);
-      metrics.emplace_back("ledger.simd_speedup", active_mops / scalar_mops);
-      std::fprintf(stderr, "  %s: %.0f Mlanes/sec (%.2fx)\n",
-                   simd::target_name(active_table.target), active_mops,
-                   active_mops / scalar_mops);
-    }
-  }
-
   // 6. Multi-cell scale-out (opt-in). Both legs assert the >= 1e6-request
   // floor (vacuity: a short run trivially meets any ceiling) and the absolute
   // RSS ceiling in-process — the ceiling is the streamed-loadgen promise made
@@ -726,36 +578,6 @@ int main(int argc, char** argv) {
       metrics.emplace_back("scale.selection_ratio_1k_vs_100", ratio);
       std::fprintf(stderr, "  %.0f vs %.0f placements/sec (ratio %.2f)\n",
                    run.placements_per_sec, ref.placements_per_sec, ratio);
-
-      // Forced-scalar rerun of the 1k leg: the multi-cell admission path
-      // (router density ranking, headroom-index jumps, ledger folds) with
-      // the scalar kernel table. Placement-count equality is the dispatch
-      // contract at 1k-machine scale; the throughput pair feeds the same
-      // CI gates as the sched family's.
-      if (simd::enabled()) {
-        std::fprintf(stderr, "scale: forced-scalar 1k leg...\n");
-        ScopedScalar forced;
-        const ScaleRun scalar_run = run_scale(scale_config(leg.machines, leg.horizon));
-        if (scalar_run.placements != run.placements ||
-            scalar_run.completed != run.completed) {
-          std::cerr << "FAIL: forced-scalar scale leg diverged from the SIMD leg "
-                    << "(placements " << scalar_run.placements << " vs " << run.placements
-                    << ", completed " << scalar_run.completed << " vs " << run.completed
-                    << ") — the SIMD kernels changed a decision\n";
-          return 1;
-        }
-        if (scalar_run.placements_per_sec <= 0) {
-          std::cerr << "FAIL: forced-scalar scale leg recorded no policy time\n";
-          return 1;
-        }
-        metrics.emplace_back("scale.scalar_placements_per_sec",
-                             scalar_run.placements_per_sec);
-        metrics.emplace_back("scale.simd_speedup",
-                             run.placements_per_sec / scalar_run.placements_per_sec);
-        std::fprintf(stderr, "  %.0f placements/sec scalar (simd %.2fx)\n",
-                     scalar_run.placements_per_sec,
-                     run.placements_per_sec / scalar_run.placements_per_sec);
-      }
 
       // Traced rerun of the 1k leg: spans + latency attribution on, with
       // completed requests released back into the span arena

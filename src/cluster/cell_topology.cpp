@@ -8,7 +8,6 @@
 #include "cluster/machine.h"
 #include "common/audit.h"
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace vmlp::cluster {
 namespace {
@@ -83,16 +82,18 @@ void CellTopology::note_mutation(MachineId m, const Machine& machine) {
   seen_epoch_[i] = machine.ledger().version();
   const std::size_t b = i >> kBlockShift;
   if (block_folded_[b] == 0) return;  // first query folds the whole block
-  // Refold the block max over the cached fractions: 32 contiguous doubles,
-  // no ledger touches. (A max-only fold can't be maintained in O(1) because
-  // a release may lower the current maximum.) The fold runs through the
-  // dispatched SIMD kernel; max over finite doubles is order-independent,
-  // and the fractions are never negative (free_fraction clamps at 0.0), so
-  // every target — including the kernel's -inf empty-fold identity vs the
-  // old loop's 0.0 seed — produces the same bits.
+  // A max-only fold can't be maintained in O(1) because a release may lower
+  // the current maximum, so refold the block's 32 cached fractions.
+  fold_block_max(b);
+}
+
+double CellTopology::fold_block_max(std::size_t b) const {
   const std::size_t lo = b << kBlockShift;
   const std::size_t hi = std::min(machine_count(), lo + kBlockSize);
-  block_free_max_[b] = simd::kernels().reduce_max1(free_frac_.data() + lo, hi - lo);
+  double mx = 0.0;  // fractions are never negative (free_fraction clamps at 0)
+  for (std::size_t i = lo; i < hi; ++i) mx = std::max(mx, free_frac_[i]);
+  block_free_max_[b] = mx;
+  return mx;
 }
 
 double CellTopology::refresh_block(const Cluster& cluster, std::size_t b) const {
@@ -115,16 +116,13 @@ double CellTopology::refresh_block(const Cluster& cluster, std::size_t b) const 
     }
     return block_free_max_[b];
   }
-  double mx = 0.0;
   for (std::size_t i = lo; i < hi; ++i) {
     const auto& led = cluster.machine(MachineId(static_cast<std::uint32_t>(i))).ledger();
     free_frac_[i] = led.free_fraction();
     seen_epoch_[i] = led.version();
-    mx = std::max(mx, free_frac_[i]);
   }
-  block_free_max_[b] = mx;
   block_folded_[b] = 1;
-  return mx;
+  return fold_block_max(b);
 }
 
 std::size_t CellTopology::first_fit_candidate(const Cluster& cluster, std::size_t cell,
@@ -140,13 +138,10 @@ std::size_t CellTopology::first_fit_candidate(const Cluster& cluster, std::size_
   const std::size_t n_blocks = last_block - begin_block + 1;
   const std::size_t start_block = (begin + (cursor % size)) >> kBlockShift;
   // Hoisted admission threshold: the same `demand_frac + kHeadroomSafety`
-  // IEEE sum the per-machine compare used to re-evaluate — hoisting cannot
-  // change any verdict, it just lets the member scan run as one vectorized
-  // find-first over the contiguous fraction cache. `x >= need` is exactly
-  // the complement of the old `need > x` skip (no NaNs: an infinite
-  // demand_frac stays infinite under + and simply never matches).
+  // IEEE sum for every member. `x >= need` is exactly the complement of a
+  // `need > x` skip (no NaNs: an infinite demand_frac stays infinite under +
+  // and simply never matches).
   const double need = demand_frac + kHeadroomSafety;
-  const auto& k = simd::kernels();
   for (std::size_t step = 0; step < n_blocks; ++step) {
     std::size_t b = start_block + step;
     if (b > last_block) b -= n_blocks;  // wrap within the cell's block run
@@ -154,14 +149,11 @@ std::size_t CellTopology::first_fit_candidate(const Cluster& cluster, std::size_
     if (need > block_max) continue;
     const std::size_t lo = std::max(b << kBlockShift, begin);
     const std::size_t hi = std::min((b + 1) << kBlockShift, end);
-    // Jump hit to hit: first_ge finds the next admitting fraction in index
-    // order; only the (rare) down machines force a resume past a hit.
-    std::size_t i = lo;
-    while (i < hi) {
-      const std::size_t j = i + k.first_ge(free_frac_.data() + i, hi - i, need);
-      if (j >= hi) break;
-      if (cluster.machine(MachineId(static_cast<std::uint32_t>(j))).up()) return j;
-      i = j + 1;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (free_frac_[i] >= need &&
+          cluster.machine(MachineId(static_cast<std::uint32_t>(i))).up()) {
+        return i;
+      }
     }
   }
   return kNoMachine;

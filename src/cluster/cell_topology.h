@@ -150,6 +150,9 @@ class CellTopology {
   /// cached epochs against ledger versions (catches a mutation site that
   /// forgot to notify).
   double refresh_block(const Cluster& cluster, std::size_t b) const;
+  /// Refold block b's max over the cached member fractions (no ledger
+  /// touches) into block_free_max_ and return it.
+  double fold_block_max(std::size_t b) const;
 
   std::vector<std::size_t> begins_;    ///< cell_count()+1 partition bounds
   std::vector<std::uint32_t> cell_of_; ///< machine index -> cell id

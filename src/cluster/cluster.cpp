@@ -16,11 +16,8 @@ Cluster::Cluster(const ClusterParams& params)
                  "machine_count " << params.machine_count << " overflows MachineId");
   VMLP_CHECK_MSG(!params.machine_capacity.any_negative(), "negative machine capacity");
   machines_.reserve(params.machine_count);
-  const auto backend = params.legacy_ledger ? ReservationLedger::Backend::kLegacyMap
-                                            : ReservationLedger::Backend::kFlat;
   for (std::size_t i = 0; i < params.machine_count; ++i) {
-    machines_.emplace_back(MachineId(static_cast<std::uint32_t>(i)), params.machine_capacity,
-                           backend);
+    machines_.emplace_back(MachineId(static_cast<std::uint32_t>(i)), params.machine_capacity);
   }
 }
 

@@ -16,11 +16,6 @@ struct ClusterParams {
   // 4-core worker nodes (Table IV.A's cluster averages 6 cores/node; smaller
   // nodes keep the paper's 1000 req/s peak in contention territory).
   ResourceVector machine_capacity{4000.0, 16384.0, 1000.0};
-  /// Back every machine's ledger with the legacy map representation instead
-  /// of the indexed flat vector — the differential-testing reference for the
-  /// admission fast path (tools/determinism_check claim 5). Queries are
-  /// decision-identical across backends; only speed differs.
-  bool legacy_ledger = false;
   /// Cell partition for the scale-out router (see cell_topology.h). The
   /// default single cell is byte-identical to the pre-topology flat cluster.
   CellTopologyParams topology;

@@ -6,9 +6,8 @@
 
 namespace vmlp::cluster {
 
-Machine::Machine(MachineId id, ResourceVector capacity,
-                 ReservationLedger::Backend ledger_backend)
-    : id_(id), capacity_(capacity), ledger_(capacity, ledger_backend) {
+Machine::Machine(MachineId id, ResourceVector capacity)
+    : id_(id), capacity_(capacity), ledger_(capacity) {
   VMLP_CHECK_MSG(id.valid(), "invalid machine id");
 }
 

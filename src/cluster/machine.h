@@ -15,8 +15,7 @@ namespace vmlp::cluster {
 
 class Machine {
  public:
-  Machine(MachineId id, ResourceVector capacity,
-          ReservationLedger::Backend ledger_backend = ReservationLedger::Backend::kFlat);
+  Machine(MachineId id, ResourceVector capacity);
 
   [[nodiscard]] MachineId id() const { return id_; }
   [[nodiscard]] const ResourceVector& capacity() const { return capacity_; }

@@ -5,7 +5,6 @@
 
 #include "common/audit.h"
 #include "common/error.h"
-#include "common/simd.h"
 #include "obs/collector.h"
 
 namespace vmlp::cluster {
@@ -26,21 +25,16 @@ constexpr std::size_t kNoSegment = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 
-ReservationLedger::ReservationLedger(ResourceVector capacity, Backend backend)
-    : capacity_(capacity), backend_(backend) {
+ReservationLedger::ReservationLedger(ResourceVector capacity) : capacity_(capacity) {
   VMLP_CHECK_MSG(!capacity.any_negative(), "negative capacity");
   inv_capacity_ = ResourceVector{capacity.cpu > 0 ? 1.0 / capacity.cpu : 0.0,
                                  capacity.mem > 0 ? 1.0 / capacity.mem : 0.0,
                                  capacity.io > 0 ? 1.0 / capacity.io : 0.0};
-  if (backend_ == Backend::kFlat) {
-    segs_.push_back(Segment{0, ResourceVector::zero(), headroom_of(ResourceVector::zero())});
-  } else {
-    profile_.emplace(0, ResourceVector::zero());
-  }
+  segs_.push_back(Segment{0, ResourceVector::zero(), headroom_of(ResourceVector::zero())});
 }
 
 // --------------------------------------------------------------------------
-// Flat backend: sorted segment vector + lazy coarse index.
+// Sorted segment vector + lazy coarse index.
 // --------------------------------------------------------------------------
 
 double ReservationLedger::headroom_of(const ResourceVector& level) const {
@@ -116,9 +110,9 @@ std::size_t ReservationLedger::split_index_at(SimTime t) {
   return i;
 }
 
-void ReservationLedger::coalesce_flat(SimTime t0, SimTime t1) {
-  // Mirrors the legacy map coalesce exactly: walk from the segment before
-  // the touched range, erasing the later of each nearly-equal adjacent pair.
+void ReservationLedger::coalesce(SimTime t0, SimTime t1) {
+  // Walk from the segment before the touched range, erasing the later of
+  // each nearly-equal adjacent pair.
   std::size_t i = lower_index(t0);
   if (i > 0) --i;
   while (i + 1 < segs_.size()) {
@@ -142,342 +136,22 @@ void ReservationLedger::ensure_index() const {
   // O(blocks) — noise next to even one partial rebuild.
   const std::size_t first =
       std::min(dirty_from_, segs_.size() - 1) >> kBlockShift;
-  // Rebuilt blocks invalidate their SoA mirror entries; the next SIMD query
-  // re-copies them (ensure_mirror). Recorded even when the scalar target is
-  // active so a later target switch cannot read a stale block mirror.
-  block_mirror_from_ = std::min(block_mirror_from_, first);
-  mirror_clean_ = false;
-  const simd::KernelTable& kt = simd::kernels();
-  if (kt.target != simd::Target::kScalar) {
-    // One combined pass: sync the segment planes, then vector-fold each stale
-    // block from them, writing the coarse index and its mirror in one go —
-    // so a SIMD-active rebuild costs less than the scalar AoS fold instead of
-    // paying for both it and a later ensure_mirror().
-    rebuild_index_simd(kt, first, blocks);
-  } else {
-    for (std::size_t b = first; b < blocks; ++b) {
-      const std::size_t lo = b << kBlockShift;
-      const std::size_t hi = std::min(segs_.size(), lo + kBlockSize);
-      ResourceVector mx = segs_[lo].level;
-      ResourceVector mn = segs_[lo].level;
-      for (std::size_t i = lo + 1; i < hi; ++i) {
-        mx = mx.max(segs_[i].level);
-        mn = mn.min(segs_[i].level);
-      }
-      block_max_[b] = mx;
-      block_min_[b] = mn;
+  for (std::size_t b = first; b < blocks; ++b) {
+    const std::size_t lo = b << kBlockShift;
+    const std::size_t hi = std::min(segs_.size(), lo + kBlockSize);
+    ResourceVector mx = segs_[lo].level;
+    ResourceVector mn = segs_[lo].level;
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      mx = mx.max(segs_[i].level);
+      mn = mn.min(segs_[i].level);
     }
+    block_max_[b] = mx;
+    block_min_[b] = mn;
   }
   peak_ = block_max_[0];
   for (std::size_t b = 1; b < blocks; ++b) peak_ = peak_.max(block_max_[b]);
   index_dirty_ = false;
   dirty_from_ = segs_.size();
-}
-
-void ReservationLedger::rebuild_index_simd(const simd::KernelTable& k, std::size_t first,
-                                           std::size_t blocks) const {
-  // Segment planes first — the same stale-tail rewrite ensure_mirror() would
-  // perform. Folding each stale block from the contiguous planes with the
-  // reduce kernels is bitwise identical to the scalar AoS fold: min/max over
-  // finite doubles is order-independent, and every lane reduction lands on
-  // the same IEEE value (audit_invariants re-folds scalar-style and checks).
-  const std::size_t n = segs_.size();
-  if (mirror_from_ < n || soa_start_.size() != n) {
-    soa_start_.resize(n);
-    soa_cpu_.resize(n);
-    soa_mem_.resize(n);
-    soa_io_.resize(n);
-    soa_headroom_.resize(n);
-    for (std::size_t i = std::min(mirror_from_, n); i < n; ++i) {
-      const Segment& s = segs_[i];
-      soa_start_[i] = s.start;
-      soa_cpu_[i] = s.level.cpu;
-      soa_mem_[i] = s.level.mem;
-      soa_io_[i] = s.level.io;
-      soa_headroom_[i] = s.headroom;
-    }
-    mirror_from_ = n;
-  }
-  soa_bmax_cpu_.resize(blocks);
-  soa_bmax_mem_.resize(blocks);
-  soa_bmax_io_.resize(blocks);
-  soa_bmin_cpu_.resize(blocks);
-  soa_bmin_mem_.resize(blocks);
-  soa_bmin_io_.resize(blocks);
-  // Blocks below `first` are clean in the coarse index but may carry a stale
-  // mirror from an earlier scalar-active rebuild: copy, don't refold.
-  for (std::size_t b = std::min(block_mirror_from_, first); b < first; ++b) {
-    soa_bmax_cpu_[b] = block_max_[b].cpu;
-    soa_bmax_mem_[b] = block_max_[b].mem;
-    soa_bmax_io_[b] = block_max_[b].io;
-    soa_bmin_cpu_[b] = block_min_[b].cpu;
-    soa_bmin_mem_[b] = block_min_[b].mem;
-    soa_bmin_io_[b] = block_min_[b].io;
-  }
-  for (std::size_t b = first; b < blocks; ++b) {
-    const std::size_t lo = b << kBlockShift;
-    const std::size_t len = std::min(n, lo + kBlockSize) - lo;
-    double mx[3] = {-std::numeric_limits<double>::infinity(),
-                    -std::numeric_limits<double>::infinity(),
-                    -std::numeric_limits<double>::infinity()};
-    double mn[3] = {std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity()};
-    k.reduce_max3(soa_cpu_.data() + lo, soa_mem_.data() + lo, soa_io_.data() + lo, len, mx);
-    k.reduce_min3(soa_cpu_.data() + lo, soa_mem_.data() + lo, soa_io_.data() + lo, len, mn);
-    block_max_[b] = ResourceVector{mx[0], mx[1], mx[2]};
-    block_min_[b] = ResourceVector{mn[0], mn[1], mn[2]};
-    soa_bmax_cpu_[b] = mx[0];
-    soa_bmax_mem_[b] = mx[1];
-    soa_bmax_io_[b] = mx[2];
-    soa_bmin_cpu_[b] = mn[0];
-    soa_bmin_mem_[b] = mn[1];
-    soa_bmin_io_[b] = mn[2];
-  }
-  block_mirror_from_ = blocks;
-  mirror_clean_ = true;
-}
-
-void ReservationLedger::ensure_mirror() const {
-  if (mirror_clean_) return;  // the one branch a between-mutations query pays
-  // Segment planes: rewrite the stale tail [mirror_from_, n). Entries below
-  // the watermark are bitwise-current — mutations never modify or shift a
-  // segment below the same conservative bound dirty_from_ uses, and they
-  // lower mirror_from_ alongside it.
-  const std::size_t n = segs_.size();
-  if (mirror_from_ < n || soa_start_.size() != n) {
-    soa_start_.resize(n);
-    soa_cpu_.resize(n);
-    soa_mem_.resize(n);
-    soa_io_.resize(n);
-    soa_headroom_.resize(n);
-    for (std::size_t i = std::min(mirror_from_, n); i < n; ++i) {
-      const Segment& s = segs_[i];
-      soa_start_[i] = s.start;
-      soa_cpu_[i] = s.level.cpu;
-      soa_mem_[i] = s.level.mem;
-      soa_io_[i] = s.level.io;
-      soa_headroom_[i] = s.headroom;
-    }
-    mirror_from_ = n;
-  }
-  // Block planes copy from the (already rebuilt — ensure_index is a
-  // precondition) coarse index; ensure_index lowers block_mirror_from_ for
-  // every block it refolds.
-  const std::size_t blocks = block_max_.size();
-  if (block_mirror_from_ < blocks || soa_bmax_cpu_.size() != blocks) {
-    soa_bmax_cpu_.resize(blocks);
-    soa_bmax_mem_.resize(blocks);
-    soa_bmax_io_.resize(blocks);
-    soa_bmin_cpu_.resize(blocks);
-    soa_bmin_mem_.resize(blocks);
-    soa_bmin_io_.resize(blocks);
-    for (std::size_t b = std::min(block_mirror_from_, blocks); b < blocks; ++b) {
-      soa_bmax_cpu_[b] = block_max_[b].cpu;
-      soa_bmax_mem_[b] = block_max_[b].mem;
-      soa_bmax_io_[b] = block_max_[b].io;
-      soa_bmin_cpu_[b] = block_min_[b].cpu;
-      soa_bmin_mem_[b] = block_min_[b].mem;
-      soa_bmin_io_[b] = block_min_[b].io;
-    }
-    block_mirror_from_ = blocks;
-  }
-  mirror_clean_ = true;
-}
-
-std::size_t ReservationLedger::lower_index_soa(std::size_t lo, SimTime t) const {
-  const std::size_t n = soa_start_.size();
-  std::size_t base = lo;  // invariant: soa_start_[base] < t
-  std::size_t step = 1;
-  std::size_t probe = lo + 1;
-  while (probe < n && soa_start_[probe] < t) {
-    base = probe;
-    step <<= 1;
-    probe = lo + step;
-  }
-  const auto first = soa_start_.begin() + static_cast<std::ptrdiff_t>(base + 1);
-  const auto last = soa_start_.begin() + static_cast<std::ptrdiff_t>(std::min(n, probe));
-  return static_cast<std::size_t>(std::lower_bound(first, last, t) - soa_start_.begin());
-}
-
-// The _simd query twins below reproduce the scalar block-walk loops over the
-// SoA planes. Two structural differences, neither visible in any verdict:
-//
-//   * span/extreme folds decompose [lo, hi) — hi = lower_index(t1), found by
-//     galloping out of `lo` — into a leading partial block, whole 32-segment
-//     blocks scanned one *block-mirror* entry each (exactly the blocks the
-//     scalar loop takes via its `(i & 31) == 0 && i + 32 <= size &&
-//     segs_[i+31].start < t1` whole-block branch), and a trailing partial;
-//   * fits never computes hi at all: starts are sorted, so the first
-//     exactly-blocking segment at or after lo decides the verdict with one
-//     `start < t1` compare, and the find-first kernels may overrun the
-//     window by up to a block — any hit out there would start >= t1.
-//
-// Verdict equivalence with the scalar walks is argued case by case at each
-// call site; the common facts are that block_min_/block_max_ hold the exact
-// component-wise min/max of their members (so folding a block entry folds
-// its members) and that min/max folds are order-independent over the finite
-// doubles the audit tier guarantees.
-
-bool ReservationLedger::span_could_fit_simd(const simd::KernelTable& k, std::size_t lo,
-                                            SimTime t1, const ResourceVector& r) const {
-  // Covering-segment fast accept — the scalar loop's opening check and the
-  // common outcome of uncontended probes; it needs no mirrors, so a stale
-  // tail stays unpaid-for until a fold actually has to run.
-  if ((segs_[lo].level + r).fits_within(capacity_)) return true;
-  ensure_mirror();
-  const double add[3] = {r.cpu, r.mem, r.io};
-  const double bound[3] = {capacity_.cpu + kResourceEpsilon, capacity_.mem + kResourceEpsilon,
-                           capacity_.io + kResourceEpsilon};
-  // The scalar loop's per-segment accept chain — cached-headroom shortcut,
-  // then `(running_min + r).fits_within(capacity_)` — never accepts a span
-  // the pure min-fold verdict rejects (a headroom-accepted segment's level
-  // already satisfies the exact compare, and the running min is <= it), so
-  // the kernels need only the exact fold: identical verdicts, fewer ops.
-  const std::size_t hi = lower_index_soa(lo, t1);  // > lo: segs_[lo].start <= t0 < t1
-  const std::size_t head_end = std::min(hi, (lo + kBlockSize - 1) & ~(kBlockSize - 1));
-  const std::size_t body_end = head_end + (((hi - head_end) >> kBlockShift) << kBlockShift);
-  double m[3] = {std::numeric_limits<double>::infinity(), std::numeric_limits<double>::infinity(),
-                 std::numeric_limits<double>::infinity()};
-  if (k.span_fit3(soa_cpu_.data() + lo, soa_mem_.data() + lo, soa_io_.data() + lo, head_end - lo,
-                  add, bound, m)) {
-    return true;
-  }
-  if (body_end > head_end) {
-    const std::size_t b0 = head_end >> kBlockShift;
-    const std::size_t nb = (body_end - head_end) >> kBlockShift;
-    if (k.span_fit3(soa_bmin_cpu_.data() + b0, soa_bmin_mem_.data() + b0,
-                    soa_bmin_io_.data() + b0, nb, add, bound, m)) {
-      return true;
-    }
-  }
-  return k.span_fit3(soa_cpu_.data() + body_end, soa_mem_.data() + body_end,
-                     soa_io_.data() + body_end, hi - body_end, add, bound, m);
-}
-
-bool ReservationLedger::fits_simd(const simd::KernelTable& k, std::size_t lo, SimTime t1,
-                                  const ResourceVector& r, SimTime* refit_out) const {
-  ensure_mirror();
-  const double add[3] = {r.cpu, r.mem, r.io};
-  const double bound[3] = {capacity_.cpu + kResourceEpsilon, capacity_.mem + kResourceEpsilon,
-                           capacity_.io + kResourceEpsilon};
-  const std::size_t n = segs_.size();
-  const SimTime* starts = soa_start_.data();
-  // Scalar-shaped walk, first blocker decides. The scalar walk's
-  // segment_blocks() is the same predicate: its headroom shortcut only
-  // skips the vector compare for segments that provably pass it. A blocked
-  // *block max* implies a blocked member (its per-dimension argmax), and
-  // vice versa by monotone IEEE add — so a whole in-window block decides by
-  // three plane reads, exactly like the scalar branch.
-  std::size_t bad = kNoSegment;
-  std::size_t i = lo;
-  // Leading partial stretch (to the first block boundary) runs the scalar
-  // per-segment predicate inline — headroom shortcut, exact compare, per
-  // element window exit. Admission windows usually resolve right here, and
-  // for those few-segment scans the kernel-call setup costs more than the
-  // scan; the kernels take over at block granularity where they win.
-  const double frac = demand_fraction(r);
-  const std::size_t lead_end = std::min(n, (lo | (kBlockSize - 1)) + 1);
-  while (i < lead_end && starts[i] < t1 && bad == kNoSegment) {
-    if (frac + kHeadroomSafety > soa_headroom_[i] &&
-        (soa_cpu_[i] + add[0] > bound[0] || soa_mem_[i] + add[1] > bound[1] ||
-         soa_io_[i] + add[2] > bound[2])) {
-      bad = i;
-    } else {
-      ++i;
-    }
-  }
-  while (bad == kNoSegment && i < n && starts[i] < t1) {
-    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= n && starts[i + kBlockSize - 1] < t1) {
-      const std::size_t b = i >> kBlockShift;
-      if (soa_bmax_cpu_[b] + add[0] > bound[0] || soa_bmax_mem_[b] + add[1] > bound[1] ||
-          soa_bmax_io_[b] + add[2] > bound[2]) {
-        if (refit_out == nullptr) return false;  // scalar also skips the descent
-        const std::size_t bj = k.first_blocked3(soa_cpu_.data() + i, soa_mem_.data() + i,
-                                                soa_io_.data() + i, kBlockSize, add, bound);
-        VMLP_CHECK_MSG(bj < kBlockSize, "blocked block max without a blocking member");
-        bad = i + bj;
-        break;
-      }
-      i += kBlockSize;
-    } else {
-      // Rest of this block (or of the profile), scanned without clipping to
-      // t1: a hit is kept only if it starts inside the window, and a miss
-      // advances to the next block boundary where the outer condition
-      // re-clips. At most kBlockSize-1 past-window segments are touched.
-      const std::size_t stretch = std::min(n, (i | (kBlockSize - 1)) + 1) - i;
-      const std::size_t j = k.first_blocked3(soa_cpu_.data() + i, soa_mem_.data() + i,
-                                             soa_io_.data() + i, stretch, add, bound);
-      if (j < stretch) {
-        if (starts[i + j] >= t1) return true;  // first blocker past the window
-        bad = i + j;
-        break;
-      }
-      i += stretch;
-    }
-  }
-  if (bad == kNoSegment) return true;
-  if (refit_out != nullptr) {
-    // blocking_run_end's twin: first exactly-fitting segment after `bad`
-    // bounds the maximal blocking run (scanned to the profile tail, not
-    // just hi — a run may extend past the query window).
-    const std::size_t rest = segs_.size() - (bad + 1);
-    const std::size_t fj = k.first_fit3(soa_cpu_.data() + bad + 1, soa_mem_.data() + bad + 1,
-                                        soa_io_.data() + bad + 1, rest, add, bound);
-    *refit_out = fj < rest ? soa_start_[bad + 1 + fj] : kTimeInfinity;
-  }
-  return false;
-}
-
-ResourceVector ReservationLedger::extreme_usage_simd(const simd::KernelTable& k, std::size_t lo,
-                                                     SimTime t1, bool want_max) const {
-  ensure_mirror();
-  const std::size_t hi = lower_index_soa(lo, t1);
-  const std::size_t head_end = std::min(hi, (lo + kBlockSize - 1) & ~(kBlockSize - 1));
-  const std::size_t body_end = head_end + (((hi - head_end) >> kBlockShift) << kBlockShift);
-  const double init =
-      want_max ? -std::numeric_limits<double>::infinity() : std::numeric_limits<double>::infinity();
-  double m[3] = {init, init, init};
-  const auto fold = want_max ? k.reduce_max3 : k.reduce_min3;
-  fold(soa_cpu_.data() + lo, soa_mem_.data() + lo, soa_io_.data() + lo, head_end - lo, m);
-  if (body_end > head_end) {
-    const std::size_t b0 = head_end >> kBlockShift;
-    const std::size_t nb = (body_end - head_end) >> kBlockShift;
-    if (want_max) {
-      fold(soa_bmax_cpu_.data() + b0, soa_bmax_mem_.data() + b0, soa_bmax_io_.data() + b0, nb, m);
-    } else {
-      fold(soa_bmin_cpu_.data() + b0, soa_bmin_mem_.data() + b0, soa_bmin_io_.data() + b0, nb, m);
-    }
-  }
-  fold(soa_cpu_.data() + body_end, soa_mem_.data() + body_end, soa_io_.data() + body_end,
-       hi - body_end, m);
-  return ResourceVector{m[0], m[1], m[2]};
-}
-
-// --------------------------------------------------------------------------
-// Legacy map backend helpers.
-// --------------------------------------------------------------------------
-
-std::map<SimTime, ResourceVector>::iterator ReservationLedger::split_at(SimTime t) {
-  auto it = profile_.lower_bound(t);
-  if (it != profile_.end() && it->first == t) return it;
-  VMLP_CHECK_MSG(it != profile_.begin(), "time " << t << " precedes ledger origin");
-  auto prev = std::prev(it);
-  return profile_.emplace_hint(it, t, prev->second);
-}
-
-void ReservationLedger::coalesce(SimTime t0, SimTime t1) {
-  auto it = profile_.lower_bound(t0);
-  if (it != profile_.begin()) --it;
-  while (it != profile_.end()) {
-    auto next = std::next(it);
-    if (next == profile_.end() || next->first > t1) break;
-    if (nearly_equal(it->second, next->second)) {
-      profile_.erase(next);
-    } else {
-      it = next;
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -492,27 +166,18 @@ void ReservationLedger::reserve(SimTime t0, SimTime t1, const ResourceVector& r)
   // canonical corruption a buggy planner would introduce.
   VMLP_AUDIT_ASSERT(r.is_finite(), "non-finite reservation " << r.to_string());
   VMLP_AUDIT_ASSERT(!r.any_negative(), "negative reservation " << r.to_string());
-  if (backend_ == Backend::kFlat) {
-    const std::size_t begin = split_index_at(t0);
-    const std::size_t end = split_index_at(t1);
-    for (std::size_t i = begin; i < end; ++i) {
-      segs_[i].level += r;
-      segs_[i].headroom = headroom_of(segs_[i].level);
-      // Keep the peak bound exact across reserves: raising levels can only
-      // move the whole-profile peak to one of the levels written here.
-      peak_ = peak_.max(segs_[i].level);
-    }
-    coalesce_flat(t0, t1);
-    index_dirty_ = true;
-    dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
-    mirror_from_ = std::min(mirror_from_, dirty_from_);
-    mirror_clean_ = false;
-  } else {
-    auto begin = split_at(t0);
-    auto end = split_at(t1);
-    for (auto it = begin; it != end; ++it) it->second += r;
-    coalesce(t0, t1);
+  const std::size_t begin = split_index_at(t0);
+  const std::size_t end = split_index_at(t1);
+  for (std::size_t i = begin; i < end; ++i) {
+    segs_[i].level += r;
+    segs_[i].headroom = headroom_of(segs_[i].level);
+    // Keep the peak bound exact across reserves: raising levels can only
+    // move the whole-profile peak to one of the levels written here.
+    peak_ = peak_.max(segs_[i].level);
   }
+  coalesce(t0, t1);
+  index_dirty_ = true;
+  dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
   if (obs_ != nullptr) {
     obs_->gauge_max(obs_->ledger().segments_peak, static_cast<double>(segment_count()));
   }
@@ -526,61 +191,32 @@ void ReservationLedger::release(SimTime t0, SimTime t1, const ResourceVector& r)
   VMLP_AUDIT_ASSERT(r.is_finite(), "non-finite release " << r.to_string());
   VMLP_AUDIT_ASSERT(!r.any_negative(),
                     "negative release " << r.to_string() << " would inflate the profile");
-  if (backend_ == Backend::kFlat) {
-    const std::size_t begin = split_index_at(t0);
-    const std::size_t end = split_index_at(t1);
-    for (std::size_t i = begin; i < end; ++i) {
-      segs_[i].level -= r;
-      VMLP_CHECK_MSG(!segs_[i].level.any_negative(),
-                     "release drives profile negative at t=" << segs_[i].start);
-      // Snap tiny float residue to exact zero so fits() stays sharp.
-      if (segs_[i].level.near_zero()) segs_[i].level = ResourceVector::zero();
-      segs_[i].headroom = headroom_of(segs_[i].level);
-    }
-    coalesce_flat(t0, t1);
-    index_dirty_ = true;
-    dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
-    mirror_from_ = std::min(mirror_from_, dirty_from_);
-    mirror_clean_ = false;
-  } else {
-    auto begin = split_at(t0);
-    auto end = split_at(t1);
-    for (auto it = begin; it != end; ++it) {
-      it->second -= r;
-      VMLP_CHECK_MSG(!it->second.any_negative(),
-                     "release drives profile negative at t=" << it->first);
-      if (it->second.near_zero()) it->second = ResourceVector::zero();
-    }
-    coalesce(t0, t1);
+  const std::size_t begin = split_index_at(t0);
+  const std::size_t end = split_index_at(t1);
+  for (std::size_t i = begin; i < end; ++i) {
+    segs_[i].level -= r;
+    VMLP_CHECK_MSG(!segs_[i].level.any_negative(),
+                   "release drives profile negative at t=" << segs_[i].start);
+    // Snap tiny float residue to exact zero so fits() stays sharp.
+    if (segs_[i].level.near_zero()) segs_[i].level = ResourceVector::zero();
+    segs_[i].headroom = headroom_of(segs_[i].level);
   }
+  coalesce(t0, t1);
+  index_dirty_ = true;
+  dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
   if (::vmlp::audit::enabled()) audit_invariants();
 }
 
 void ReservationLedger::compact_before(SimTime t) {
-  if (backend_ == Backend::kFlat) {
-    const auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
-                                     [](SimTime v, const Segment& s) { return v < s.start; });
-    if (it == segs_.begin()) return;
-    const std::size_t cover = static_cast<std::size_t>(it - segs_.begin()) - 1;
-    if (cover == 0) return;
-    ++version_;
-    segs_.erase(segs_.begin(), segs_.begin() + static_cast<std::ptrdiff_t>(cover));
-    index_dirty_ = true;
-    dirty_from_ = 0;  // the prefix erase shifted every surviving index
-    mirror_from_ = 0;
-    mirror_clean_ = false;
-    return;
-  }
-  auto it = profile_.upper_bound(t);
-  if (it == profile_.begin()) return;
-  --it;  // segment covering t
-  if (it == profile_.begin()) return;
+  const auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
+                                   [](SimTime v, const Segment& s) { return v < s.start; });
+  if (it == segs_.begin()) return;
+  const std::size_t cover = static_cast<std::size_t>(it - segs_.begin()) - 1;
+  if (cover == 0) return;
   ++version_;
-  const ResourceVector level = it->second;
-  const SimTime key = it->first;
-  profile_.erase(profile_.begin(), it);
-  // Re-anchor the origin at the covering segment's start.
-  profile_[key] = level;
+  segs_.erase(segs_.begin(), segs_.begin() + static_cast<std::ptrdiff_t>(cover));
+  index_dirty_ = true;
+  dirty_from_ = 0;  // the prefix erase shifted every surviving index
 }
 
 // --------------------------------------------------------------------------
@@ -588,82 +224,56 @@ void ReservationLedger::compact_before(SimTime t) {
 // --------------------------------------------------------------------------
 
 double ReservationLedger::free_fraction() const {
-  if (backend_ == Backend::kFlat) {
-    // Deliberately no ensure_index(): peak_ is a maintained upper bound (see
-    // its declaration), and rebuilding the index here made the cell headroom
-    // summary's refresh cost O(segments) per mutated machine — at 1k+
-    // machines that re-folded the whole cluster's ledgers once per mutation
-    // and re-coupled per-placement cost to cluster size.
-    return std::max(0.0, headroom_of(peak_));
-  }
-  ResourceVector peak = ResourceVector::zero();
-  for (const auto& [t, level] : profile_) peak = peak.max(level);
-  return std::max(0.0, headroom_of(peak));
+  // Deliberately no ensure_index(): peak_ is a maintained upper bound (see
+  // its declaration), and rebuilding the index here made the cell headroom
+  // summary's refresh cost O(segments) per mutated machine — at 1k+
+  // machines that re-folded the whole cluster's ledgers once per mutation
+  // and re-coupled per-placement cost to cluster size.
+  return std::max(0.0, headroom_of(peak_));
 }
 
 ResourceVector ReservationLedger::usage_at(SimTime t) const {
-  if (backend_ == Backend::kFlat) return segs_[covering_index(t)].level;
-  auto it = profile_.upper_bound(t);
-  VMLP_CHECK_MSG(it != profile_.begin(), "time " << t << " precedes ledger origin");
-  return std::prev(it)->second;
+  return segs_[covering_index(t)].level;
 }
 
 ResourceVector ReservationLedger::max_usage(SimTime t0, SimTime t1) const {
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
-  if (backend_ == Backend::kFlat) {
-    ensure_index();
-    const std::size_t lo = covering_index(t0);
-    const simd::KernelTable& kt = simd::kernels();
-    if (kt.target != simd::Target::kScalar) return extreme_usage_simd(kt, lo, t1, /*want_max=*/true);
-    // The window-end bound is checked lazily against segment starts instead
-    // of a second binary search: for i >= lo, `segs_[i].start < t1` is
-    // exactly `i < lower_index(t1)`, and the fold order is unchanged.
-    ResourceVector m = segs_[lo].level;
-    std::size_t i = lo;
-    while (i < segs_.size() && segs_[i].start < t1) {
-      // Whole block inside the window: one cached entry covers 32 segments.
-      if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-          segs_[i + kBlockSize - 1].start < t1) {
-        m = m.max(block_max_[i >> kBlockShift]);
-        i += kBlockSize;
-      } else {
-        m = m.max(segs_[i].level);
-        ++i;
-      }
+  ensure_index();
+  const std::size_t lo = covering_index(t0);
+  // The window-end bound is checked lazily against segment starts instead
+  // of a second binary search: for i >= lo, `segs_[i].start < t1` is
+  // exactly `i < lower_index(t1)`, and the fold order is unchanged.
+  ResourceVector m = segs_[lo].level;
+  std::size_t i = lo;
+  while (i < segs_.size() && segs_[i].start < t1) {
+    // Whole block inside the window: one cached entry covers 32 segments.
+    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
+        segs_[i + kBlockSize - 1].start < t1) {
+      m = m.max(block_max_[i >> kBlockShift]);
+      i += kBlockSize;
+    } else {
+      m = m.max(segs_[i].level);
+      ++i;
     }
-    return m;
-  }
-  ResourceVector m = usage_at(t0);
-  for (auto it = profile_.upper_bound(t0); it != profile_.end() && it->first < t1; ++it) {
-    m = m.max(it->second);
   }
   return m;
 }
 
 ResourceVector ReservationLedger::min_usage(SimTime t0, SimTime t1) const {
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
-  if (backend_ == Backend::kFlat) {
-    ensure_index();
-    const std::size_t lo = covering_index(t0);
-    const simd::KernelTable& kt = simd::kernels();
-    if (kt.target != simd::Target::kScalar) return extreme_usage_simd(kt, lo, t1, /*want_max=*/false);
-    ResourceVector m = segs_[lo].level;
-    std::size_t i = lo;
-    while (i < segs_.size() && segs_[i].start < t1) {
-      if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-          segs_[i + kBlockSize - 1].start < t1) {
-        m = m.min(block_min_[i >> kBlockShift]);
-        i += kBlockSize;
-      } else {
-        m = m.min(segs_[i].level);
-        ++i;
-      }
+  ensure_index();
+  const std::size_t lo = covering_index(t0);
+  ResourceVector m = segs_[lo].level;
+  std::size_t i = lo;
+  while (i < segs_.size() && segs_[i].start < t1) {
+    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
+        segs_[i + kBlockSize - 1].start < t1) {
+      m = m.min(block_min_[i >> kBlockShift]);
+      i += kBlockSize;
+    } else {
+      m = m.min(segs_[i].level);
+      ++i;
     }
-    return m;
-  }
-  ResourceVector m = usage_at(t0);
-  for (auto it = profile_.upper_bound(t0); it != profile_.end() && it->first < t1; ++it) {
-    m = m.min(it->second);
   }
   return m;
 }
@@ -672,39 +282,28 @@ bool ReservationLedger::span_could_fit(SimTime t0, SimTime t1, const ResourceVec
                                        std::size_t* cover_hint) const {
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
   if (obs_ != nullptr) obs_->count(obs_->ledger().spans_tested);
-  if (backend_ == Backend::kFlat) {
-    ensure_index();
-    const std::size_t lo = hinted_covering_index(t0, cover_hint);
-    const simd::KernelTable& kt = simd::kernels();
-    if (kt.target != simd::Target::kScalar) return span_could_fit_simd(kt, lo, t1, r);
-    const double frac = demand_fraction(r);
-    ResourceVector m = segs_[lo].level;
-    if ((m + r).fits_within(capacity_)) return true;
-    std::size_t i = lo;
-    while (i < segs_.size() && segs_[i].start < t1) {
-      if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-          segs_[i + kBlockSize - 1].start < t1) {
-        m = m.min(block_min_[i >> kBlockShift]);
-        i += kBlockSize;
-      } else {
-        // Scalar accept: a segment whose cached headroom admits the demand
-        // satisfies level + r <= capacity, and the span min is <= this
-        // level component-wise, so the exact verdict is already true.
-        if (frac + kHeadroomSafety <= segs_[i].headroom) return true;
-        m = m.min(segs_[i].level);
-        ++i;
-      }
-      if ((m + r).fits_within(capacity_)) return true;
-    }
-    return (m + r).fits_within(capacity_);
-  }
-  ResourceVector m = usage_at(t0);
+  ensure_index();
+  const std::size_t lo = hinted_covering_index(t0, cover_hint);
+  const double frac = demand_fraction(r);
+  ResourceVector m = segs_[lo].level;
   if ((m + r).fits_within(capacity_)) return true;
-  for (auto it = profile_.upper_bound(t0); it != profile_.end() && it->first < t1; ++it) {
-    m = m.min(it->second);
+  std::size_t i = lo;
+  while (i < segs_.size() && segs_[i].start < t1) {
+    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
+        segs_[i + kBlockSize - 1].start < t1) {
+      m = m.min(block_min_[i >> kBlockShift]);
+      i += kBlockSize;
+    } else {
+      // Scalar accept: a segment whose cached headroom admits the demand
+      // satisfies level + r <= capacity, and the span min is <= this
+      // level component-wise, so the exact verdict is already true.
+      if (frac + kHeadroomSafety <= segs_[i].headroom) return true;
+      m = m.min(segs_[i].level);
+      ++i;
+    }
     if ((m + r).fits_within(capacity_)) return true;
   }
-  return false;
+  return (m + r).fits_within(capacity_);
 }
 
 ResourceVector ReservationLedger::available(SimTime t0, SimTime t1) const {
@@ -714,43 +313,38 @@ ResourceVector ReservationLedger::available(SimTime t0, SimTime t1) const {
 bool ReservationLedger::fits(SimTime t0, SimTime t1, const ResourceVector& r,
                              std::size_t* cover_hint, SimTime* refit_out) const {
   if (obs_ != nullptr) obs_->count(obs_->ledger().fits_queried);
-  if (backend_ == Backend::kFlat) {
-    VMLP_CHECK_MSG(t0 < t1, "empty query window");
-    ensure_index();
-    // Uncontended fast accept: if the demand fits atop the whole-profile
-    // peak, it fits any window (max_usage <= peak component-wise). The hint
-    // is left untouched — it stays valid for the next, later-starting query.
-    if ((peak_ + r).fits_within(capacity_)) return true;
-    const std::size_t lo = hinted_covering_index(t0, cover_hint);
-    const simd::KernelTable& kt = simd::kernels();
-    if (kt.target != simd::Target::kScalar) return fits_simd(kt, lo, t1, r, refit_out);
-    const double frac = demand_fraction(r);
-    std::size_t i = lo;
-    while (i < segs_.size() && segs_[i].start < t1) {
-      if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-          segs_[i + kBlockSize - 1].start < t1) {
-        // Whole block: the cached max decides for all 32 segments at once.
-        if (!(block_max_[i >> kBlockShift] + r).fits_within(capacity_)) {
-          // The block's max blocks, so the argmax segment inside blocks too;
-          // descend to the first one only when the caller wants the bound.
-          if (refit_out != nullptr) {
-            while (!segment_blocks(segs_[i], r, frac)) ++i;
-            *refit_out = blocking_run_end(i, r, frac);
-          }
-          return false;
+  VMLP_CHECK_MSG(t0 < t1, "empty query window");
+  ensure_index();
+  // Uncontended fast accept: if the demand fits atop the whole-profile
+  // peak, it fits any window (max_usage <= peak component-wise). The hint
+  // is left untouched — it stays valid for the next, later-starting query.
+  if ((peak_ + r).fits_within(capacity_)) return true;
+  const std::size_t lo = hinted_covering_index(t0, cover_hint);
+  const double frac = demand_fraction(r);
+  std::size_t i = lo;
+  while (i < segs_.size() && segs_[i].start < t1) {
+    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
+        segs_[i + kBlockSize - 1].start < t1) {
+      // Whole block: the cached max decides for all 32 segments at once.
+      if (!(block_max_[i >> kBlockShift] + r).fits_within(capacity_)) {
+        // The block's max blocks, so the argmax segment inside blocks too;
+        // descend to the first one only when the caller wants the bound.
+        if (refit_out != nullptr) {
+          while (!segment_blocks(segs_[i], r, frac)) ++i;
+          *refit_out = blocking_run_end(i, r, frac);
         }
-        i += kBlockSize;
-      } else {
-        if (segment_blocks(segs_[i], r, frac)) {
-          if (refit_out != nullptr) *refit_out = blocking_run_end(i, r, frac);
-          return false;
-        }
-        ++i;
+        return false;
       }
+      i += kBlockSize;
+    } else {
+      if (segment_blocks(segs_[i], r, frac)) {
+        if (refit_out != nullptr) *refit_out = blocking_run_end(i, r, frac);
+        return false;
+      }
+      ++i;
     }
-    return true;
   }
-  return (max_usage(t0, t1) + r).fits_within(capacity_);
+  return true;
 }
 
 SimTime ReservationLedger::blocking_run_end(std::size_t first_blocking, const ResourceVector& r,
@@ -765,123 +359,61 @@ SimTime ReservationLedger::earliest_fit(SimTime from, SimDuration duration,
                                         std::size_t* probes_out) const {
   VMLP_CHECK(duration > 0);
   std::size_t probes = 0;
-  if (backend_ == Backend::kFlat) {
-    ensure_index();
-    const double frac = demand_fraction(r);
-    SimTime t = from;
-    while (t <= horizon) {
-      ++probes;
-      const std::size_t lo = covering_index(t);
-      const std::size_t hi = lower_index(t + duration);
-      // Find the LAST blocking segment in [lo, hi): jumping past it (and the
-      // run of blocking segments that follows) skips every candidate start
-      // that provably fails — any earlier start still overlaps the blocker.
-      std::size_t blocker = kNoSegment;
-      std::size_t i = hi;
-      while (i > lo) {
-        --i;
-        // Whole clean block: skip 32 segments via the cached max.
-        if (((i + 1) & (kBlockSize - 1)) == 0 && i + 1 >= kBlockSize &&
-            i + 1 - kBlockSize >= lo &&
-            (block_max_[i >> kBlockShift] + r).fits_within(capacity_)) {
-          i -= kBlockSize - 1;
-          continue;
-        }
-        if (segment_blocks(segs_[i], r, frac)) {
-          blocker = i;
-          break;
-        }
-      }
-      if (blocker == kNoSegment) {
-        if (obs_ != nullptr) obs_->count(obs_->ledger().probes_walked, probes);
-        if (probes_out != nullptr) *probes_out = probes;
-        return t;
-      }
-      std::size_t j = blocker;
-      while (j + 1 < segs_.size() && segment_blocks(segs_[j + 1], r, frac)) ++j;
-      if (j + 1 == segs_.size()) break;  // blocked through the infinite tail
-      t = segs_[j + 1].start;
-    }
-    if (obs_ != nullptr) obs_->count(obs_->ledger().probes_walked, probes);
-    if (probes_out != nullptr) *probes_out = probes;
-    return kTimeInfinity;
-  }
-  // Legacy reference: candidate start times are `from` itself, then every
-  // profile boundary after the current candidate — one boundary per failed
-  // probe (the pre-fast-path behaviour).
+  ensure_index();
+  const double frac = demand_fraction(r);
   SimTime t = from;
+  SimTime found = kTimeInfinity;
   while (t <= horizon) {
     ++probes;
-    if (fits(t, t + duration, r)) {
-      if (obs_ != nullptr) obs_->count(obs_->ledger().probes_walked, probes);
-      if (probes_out != nullptr) *probes_out = probes;
-      return t;
+    const std::size_t lo = covering_index(t);
+    const std::size_t hi = lower_index(t + duration);
+    // Find the LAST blocking segment in [lo, hi): jumping past it (and the
+    // run of blocking segments that follows) skips every candidate start
+    // that provably fails — any earlier start still overlaps the blocker.
+    std::size_t blocker = kNoSegment;
+    std::size_t i = hi;
+    while (i > lo) {
+      --i;
+      // Whole clean block: skip 32 segments via the cached max.
+      if (((i + 1) & (kBlockSize - 1)) == 0 && i + 1 >= kBlockSize &&
+          i + 1 - kBlockSize >= lo &&
+          (block_max_[i >> kBlockShift] + r).fits_within(capacity_)) {
+        i -= kBlockSize - 1;
+        continue;
+      }
+      if (segment_blocks(segs_[i], r, frac)) {
+        blocker = i;
+        break;
+      }
     }
-    auto it = profile_.upper_bound(t);
-    if (it == profile_.end()) break;  // constant level for the rest of time
-    t = it->first;
+    if (blocker == kNoSegment) {
+      found = t;
+      break;
+    }
+    std::size_t j = blocker;
+    while (j + 1 < segs_.size() && segment_blocks(segs_[j + 1], r, frac)) ++j;
+    if (j + 1 == segs_.size()) break;  // blocked through the infinite tail
+    t = segs_[j + 1].start;
   }
   if (obs_ != nullptr) obs_->count(obs_->ledger().probes_walked, probes);
   if (probes_out != nullptr) *probes_out = probes;
-  return kTimeInfinity;
+  return found;
 }
 
 void ReservationLedger::audit_invariants() const {
-  if (backend_ == Backend::kFlat) {
-    VMLP_CHECK_MSG(!segs_.empty(), "ledger profile lost its origin segment");
-    const Segment* prev = nullptr;
-    for (const Segment& s : segs_) {
-      VMLP_CHECK_MSG(s.level.is_finite(), "non-finite ledger level at t=" << s.start);
-      VMLP_CHECK_MSG(!s.level.any_negative(),
-                     "negative ledger level " << s.level.to_string() << " at t=" << s.start);
-      VMLP_CHECK_MSG(s.headroom == headroom_of(s.level),
-                     "stale cached headroom at t=" << s.start);
-      if (prev != nullptr) {
-        VMLP_CHECK_MSG(prev->start < s.start,
-                       "ledger segments out of order at t=" << s.start);
-        VMLP_CHECK_MSG(!nearly_equal(prev->level, s.level),
-                       "ledger not canonical: duplicate adjacent level at t=" << s.start);
-      }
-      prev = &s;
-    }
-    // SoA mirror invariant: everything below the watermarks bitwise-equals
-    // the AoS truth. (Entries at or above them are declared stale and get
-    // rewritten by ensure_mirror before any kernel reads them.)
-    const std::size_t mirrored =
-        std::min({mirror_from_, segs_.size(), soa_start_.size()});
-    for (std::size_t i = 0; i < mirrored; ++i) {
-      const Segment& s = segs_[i];
-      VMLP_CHECK_MSG(soa_start_[i] == s.start && soa_cpu_[i] == s.level.cpu &&
-                         soa_mem_[i] == s.level.mem && soa_io_[i] == s.level.io &&
-                         soa_headroom_[i] == s.headroom,
-                     "SoA segment mirror diverged from segments at index " << i);
-    }
-    if (!index_dirty_) {
-      const std::size_t bmirrored =
-          std::min({block_mirror_from_, block_max_.size(), soa_bmax_cpu_.size()});
-      for (std::size_t b = 0; b < bmirrored; ++b) {
-        VMLP_CHECK_MSG(soa_bmax_cpu_[b] == block_max_[b].cpu &&
-                           soa_bmax_mem_[b] == block_max_[b].mem &&
-                           soa_bmax_io_[b] == block_max_[b].io &&
-                           soa_bmin_cpu_[b] == block_min_[b].cpu &&
-                           soa_bmin_mem_[b] == block_min_[b].mem &&
-                           soa_bmin_io_[b] == block_min_[b].io,
-                       "SoA block mirror diverged from the coarse index at block " << b);
-      }
-    }
-    return;
-  }
-  VMLP_CHECK_MSG(!profile_.empty(), "ledger profile lost its origin segment");
-  const ResourceVector* prev = nullptr;
-  for (const auto& [t, level] : profile_) {
-    VMLP_CHECK_MSG(level.is_finite(), "non-finite ledger level at t=" << t);
-    VMLP_CHECK_MSG(!level.any_negative(),
-                   "negative ledger level " << level.to_string() << " at t=" << t);
+  VMLP_CHECK_MSG(!segs_.empty(), "ledger profile lost its origin segment");
+  const Segment* prev = nullptr;
+  for (const Segment& s : segs_) {
+    VMLP_CHECK_MSG(s.level.is_finite(), "non-finite ledger level at t=" << s.start);
+    VMLP_CHECK_MSG(!s.level.any_negative(),
+                   "negative ledger level " << s.level.to_string() << " at t=" << s.start);
+    VMLP_CHECK_MSG(s.headroom == headroom_of(s.level), "stale cached headroom at t=" << s.start);
     if (prev != nullptr) {
-      VMLP_CHECK_MSG(!nearly_equal(*prev, level),
-                     "ledger not canonical: duplicate adjacent level at t=" << t);
+      VMLP_CHECK_MSG(prev->start < s.start, "ledger segments out of order at t=" << s.start);
+      VMLP_CHECK_MSG(!nearly_equal(prev->level, s.level),
+                     "ledger not canonical: duplicate adjacent level at t=" << s.start);
     }
-    prev = &level;
+    prev = &s;
   }
 }
 

@@ -8,28 +8,20 @@
 // present load. Non-reserving baseline schedulers use it degenerately
 // (reserve from "now" with no lookahead).
 //
-// Two interchangeable backends (selected per ledger at construction):
-//
-//  * kFlat (default) — the admission fast path. Segments live in a flat
-//    sorted vector (cache-friendly iteration, batched reserve/release
-//    edits). Each segment caches a scalar *headroom* (the tightest
-//    remaining-capacity fraction across resource dimensions), and a lazily
-//    rebuilt coarse index stores per-block component-wise max/min levels
-//    plus the whole-profile peak. `fits` / `max_usage` / `available` then
-//    answer by walking blocks instead of every segment in the window, and
-//    an uncontended window is accepted from the cached peak alone.
-//  * kLegacyMap — the original std::map<SimTime, ResourceVector>
-//    representation, kept as a differential-testing reference. Every query
-//    is **decision-identical** across backends: both maintain the same
-//    canonical segment profile and perform the same floating-point
-//    arithmetic in the same order, so fits/max_usage/available/usage_at/
-//    earliest_fit return byte-identical results (tools/determinism_check
-//    claim 5 enforces this end-to-end).
+// Segments live in a flat sorted vector (cache-friendly iteration, batched
+// reserve/release edits). Each segment caches a scalar *headroom* (the
+// tightest remaining-capacity fraction across resource dimensions), and a
+// lazily rebuilt coarse index stores per-32-segment-block component-wise
+// max/min levels plus the whole-profile peak. `fits` / `max_usage` /
+// `min_usage` / `span_could_fit` then answer by walking blocks instead of
+// every segment in the window, and an uncontended window is accepted from the
+// cached peak alone. A std::map reference implementation lives in
+// tests/map_ledger.h; the differential fuzz holds every query here
+// bit-identical to it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "cluster/resources.h"
@@ -40,10 +32,6 @@ namespace vmlp::obs {
 class Collector;
 }
 
-namespace vmlp::simd {
-struct KernelTable;
-}
-
 namespace vmlp::cluster {
 
 /// "No covering-index hint" sentinel for ReservationLedger::fits /
@@ -52,12 +40,9 @@ inline constexpr std::size_t kNoCoverHint = static_cast<std::size_t>(-1);
 
 class ReservationLedger {
  public:
-  enum class Backend { kFlat, kLegacyMap };
-
-  explicit ReservationLedger(ResourceVector capacity, Backend backend = Backend::kFlat);
+  explicit ReservationLedger(ResourceVector capacity);
 
   [[nodiscard]] const ResourceVector& capacity() const { return capacity_; }
-  [[nodiscard]] Backend backend() const { return backend_; }
 
   /// Add `r` to the usage profile over [t0, t1). Overbooking is legal — the
   /// execution model punishes it — but tracked; `fits` tells schedulers
@@ -82,12 +67,12 @@ class ReservationLedger {
   /// pruning calls this on every contended machine; the common "machine is
   /// probeable" verdict usually resolves within a segment or two instead of
   /// walking the whole multi-step span.
-  /// `cover_hint` (optional, flat backend): caller-held covering-index
-  /// cache for repeated queries with nearby window starts. Any value is
-  /// accepted — a hint that no longer names a segment starting at or before
-  /// t0 in the *current* profile (kNoCoverHint, out of range, or left ahead
-  /// by mutations) falls back to the binary search; a valid one is walked
-  /// forward to covering_index(t0), which is what the hint holds on exit.
+  /// `cover_hint` (optional): caller-held covering-index cache for repeated
+  /// queries with nearby window starts. Any value is accepted — a hint that
+  /// no longer names a segment starting at or before t0 in the *current*
+  /// profile (kNoCoverHint, out of range, or left ahead by mutations) falls
+  /// back to the binary search; a valid one is walked forward to
+  /// covering_index(t0), which is what the hint holds on exit.
   /// The admission probe loop keeps one hint per machine across stages, so
   /// most probes skip the binary search entirely. The covering index found
   /// is identical either way — results do not depend on the hint.
@@ -97,24 +82,23 @@ class ReservationLedger {
   [[nodiscard]] ResourceVector available(SimTime t0, SimTime t1) const;
   /// Algorithm 1's admission test: does `r` fit within spare capacity over
   /// the whole window [t0, t1)? `cover_hint`: see span_could_fit.
-  /// `refit_out` (optional, flat backend): when the test fails, receives the
-  /// start of the first segment after the maximal run of blocking segments
-  /// containing the first blocker found (kTimeInfinity when the run reaches
-  /// the profile tail) — the same skip bound earliest_fit uses. Any window of
+  /// `refit_out` (optional): when the test fails, receives the start of the
+  /// first segment after the maximal run of blocking segments containing the
+  /// first blocker found (kTimeInfinity when the run reaches the profile
+  /// tail) — the same skip bound earliest_fit uses. Any window of
   /// the same demand and duration starting at or after t0 but before that
   /// bound still overlaps the run and provably fails, so the admission probe
   /// loop can discard those slip steps without re-walking the ledger. Left
-  /// untouched when the test passes (or on the legacy backend).
+  /// untouched when the test passes.
   [[nodiscard]] bool fits(SimTime t0, SimTime t1, const ResourceVector& r,
                           std::size_t* cover_hint = nullptr, SimTime* refit_out = nullptr) const;
 
   /// First time >= `from` at which `r` fits for `duration`, searching segment
-  /// boundaries up to `horizon`. Returns kTimeInfinity if none. The flat
-  /// backend skips directly past the maximal run of blocking segments after
-  /// each failed probe; the legacy backend advances one boundary at a time
-  /// (the pre-fast-path behaviour, kept as the reference). `probes_out`, when
-  /// non-null, receives the number of candidate start times evaluated — the
-  /// probe-count regression tests pin the flat backend's skipping.
+  /// boundaries up to `horizon`. Returns kTimeInfinity if none. Each failed
+  /// probe skips directly past the maximal run of blocking segments instead
+  /// of advancing one boundary at a time. `probes_out`, when non-null,
+  /// receives the number of candidate start times evaluated — the
+  /// probe-count regression tests pin the skipping.
   [[nodiscard]] SimTime earliest_fit(SimTime from, SimDuration duration, const ResourceVector& r,
                                      SimTime horizon, std::size_t* probes_out = nullptr) const;
 
@@ -123,16 +107,13 @@ class ReservationLedger {
   void compact_before(SimTime t);
 
   /// Deep structural validation (audit tier): the profile is non-empty,
-  /// every level is finite and non-negative, and the segment list is
-  /// canonical (no adjacent equal levels). The flat backend additionally
-  /// checks segment ordering and cached-headroom consistency. Throws
-  /// InvariantError on violation. Called automatically after mutations when
+  /// every level is finite and non-negative, the segment list is canonical
+  /// (ordered, no adjacent equal levels), and every cached headroom matches
+  /// its level. Throws InvariantError on violation. Called automatically after mutations when
   /// vmlp::audit::enabled(); also callable directly from tests.
   void audit_invariants() const;
 
-  [[nodiscard]] std::size_t segment_count() const {
-    return backend_ == Backend::kFlat ? segs_.size() : profile_.size();
-  }
+  [[nodiscard]] std::size_t segment_count() const { return segs_.size(); }
 
   /// Monotonic mutation epoch: incremented by every reserve/release and by
   /// any compact_before that actually erases history. Cached summaries built
@@ -143,13 +124,11 @@ class ReservationLedger {
   /// Guaranteed free fraction: min over dimensions of
   /// (capacity - whole-profile peak) / capacity, clamped at 0. A demand whose
   /// demand_fraction_of() is strictly below this fits at *every* time — the
-  /// cell headroom index uses it as a sufficient-fit summary. Flat backend
-  /// reads the incrementally maintained peak upper bound WITHOUT forcing an
-  /// index rebuild, so the call is O(1) and the result is exact after
-  /// reserve-only mutation histories and a sound lower bound (peak never
-  /// understated) after releases, re-tightening on the next indexed query;
-  /// the legacy backend folds the profile (reference path, not
-  /// performance-relevant).
+  /// cell headroom index uses it as a sufficient-fit summary. It reads the
+  /// incrementally maintained peak upper bound WITHOUT forcing an index
+  /// rebuild, so the call is O(1) and the result is exact after reserve-only
+  /// mutation histories and a sound lower bound (peak never understated)
+  /// after releases, re-tightening on the next indexed query.
   [[nodiscard]] double free_fraction() const;
 
   /// Max capacity-fraction `r` needs in any dimension (+inf when it needs a
@@ -182,7 +161,6 @@ class ReservationLedger {
   static constexpr std::size_t kBlockShift = 5;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
 
-  // --- flat backend ------------------------------------------------------
   [[nodiscard]] double headroom_of(const ResourceVector& level) const;
   /// Max capacity-fraction the demand needs in any dimension (+inf when it
   /// needs a dimension the machine lacks). Compared against cached headroom
@@ -198,7 +176,8 @@ class ReservationLedger {
   [[nodiscard]] std::size_t lower_index(SimTime t) const;
   /// Ensure a segment starts exactly at t; returns its index.
   std::size_t split_index_at(SimTime t);
-  void coalesce_flat(SimTime t0, SimTime t1);
+  /// Merge adjacent segments with equal levels around the touched range.
+  void coalesce(SimTime t0, SimTime t1);
   /// Rebuild peak/block caches if a mutation invalidated them.
   void ensure_index() const;
   [[nodiscard]] bool segment_blocks(const Segment& s, const ResourceVector& r,
@@ -209,56 +188,18 @@ class ReservationLedger {
   [[nodiscard]] SimTime blocking_run_end(std::size_t first_blocking, const ResourceVector& r,
                                          double frac) const;
 
-  // --- SIMD SoA mirrors (flat backend, simd::enabled() only) -------------
-  /// Bring the SoA mirrors up to date with segs_ and the block index.
-  /// Precondition: ensure_index() already ran (the block mirrors copy from
-  /// block_max_/block_min_). Same lazy-tail discipline as ensure_index:
-  /// mutations only mark `mirror_from_`/ensure_index only lowers
-  /// `block_mirror_from_`, and the stale tail is rewritten here on the next
-  /// SIMD query.
-  void ensure_mirror() const;
-  /// SIMD-active arm of ensure_index(): syncs the segment planes, then folds
-  /// each stale block [first, blocks) from them with the reduce kernels,
-  /// writing block_max_/block_min_ AND the block mirror planes in one pass
-  /// (bitwise-identical to the scalar AoS fold — min/max over finite doubles
-  /// is order-independent). Leaves every mirror current (mirror_clean_).
-  void rebuild_index_simd(const simd::KernelTable& k, std::size_t first,
-                          std::size_t blocks) const;
-  /// lower_index(t) on the contiguous start-time mirror, galloping out of
-  /// `lo` (caller guarantees soa_start_[lo] < t). Query windows usually span
-  /// a handful of segments of a long profile, so doubling from the covering
-  /// index beats a whole-plane binary search.
-  [[nodiscard]] std::size_t lower_index_soa(std::size_t lo, SimTime t) const;
-  /// Vectorized twins of the scalar block-walk query loops, dispatched on the
-  /// caller's one-per-query kernel-table load. Byte-identical verdicts by
-  /// construction — see the bit-exactness argument in common/simd.h and
-  /// DESIGN.md §14.
-  [[nodiscard]] bool span_could_fit_simd(const simd::KernelTable& k, std::size_t lo, SimTime t1,
-                                         const ResourceVector& r) const;
-  [[nodiscard]] bool fits_simd(const simd::KernelTable& k, std::size_t lo, SimTime t1,
-                               const ResourceVector& r, SimTime* refit_out) const;
-  [[nodiscard]] ResourceVector extreme_usage_simd(const simd::KernelTable& k, std::size_t lo,
-                                                  SimTime t1, bool want_max) const;
-
-  // --- legacy backend ----------------------------------------------------
-  /// Ensure a map key exists exactly at t, splitting the covering segment.
-  std::map<SimTime, ResourceVector>::iterator split_at(SimTime t);
-  /// Merge adjacent segments with equal levels around the touched range.
-  void coalesce(SimTime t0, SimTime t1);
-
   ResourceVector capacity_;
   /// Component-wise 1/capacity (0 where capacity is 0) for headroom math.
   ResourceVector inv_capacity_;
-  Backend backend_;
   obs::Collector* obs_ = nullptr;  ///< optional telemetry sink (write-only)
 
-  // Flat-backend storage is arena-backed: ledgers are per-trial objects, and
-  // the segment vector plus the index blocks below are the scheduler's
-  // highest-churn allocations after engine events. Inside a shard's arena
-  // scope their growth is lane-local; outside one they are heap vectors.
-  ArenaVector<Segment> segs_;  // flat backend storage
-  // Coarse window-max index over the flat segments, rebuilt lazily on the
-  // first query after a mutation — and only from `dirty_from_` onward.
+  // Storage is arena-backed: ledgers are per-trial objects, and the segment
+  // vector plus the index blocks below are the scheduler's highest-churn
+  // allocations after engine events. Inside a shard's arena scope their
+  // growth is lane-local; outside one they are heap vectors.
+  ArenaVector<Segment> segs_;
+  // Coarse window-max index over the segments, rebuilt lazily on the first
+  // query after a mutation — and only from `dirty_from_` onward.
   // Mutations target windows at or after "now" while the profile keeps up to
   // a second of history in front, so the long historical prefix of blocks
   // stays valid and a rebuild touches only the recent tail. Erase/insert
@@ -279,39 +220,7 @@ class ReservationLedger {
   /// Lowest segment index whose block may be stale (mutations lower it,
   /// rebuilds reset it past the end).
   mutable std::size_t dirty_from_ = 0;
-  // SoA mirrors of the flat segment vector for the SIMD kernels
-  // (common/simd.h): contiguous start-time, per-resource level, and headroom
-  // planes, plus per-block component planes of block_max_/block_min_. Arena-
-  // backed like segs_; filled lazily by ensure_mirror() and skipped entirely
-  // when the scalar target is active, so a forced-scalar run pays nothing.
-  // Invariant (audited): entries below the corresponding `*_from_` watermark
-  // bitwise-equal the AoS truth — mutations advance the watermarks at the
-  // same sites that advance dirty_from_, and never touch entries below them.
-  mutable ArenaVector<SimTime> soa_start_;
-  mutable ArenaVector<double> soa_cpu_;
-  mutable ArenaVector<double> soa_mem_;
-  mutable ArenaVector<double> soa_io_;
-  mutable ArenaVector<double> soa_headroom_;
-  mutable ArenaVector<double> soa_bmax_cpu_;
-  mutable ArenaVector<double> soa_bmax_mem_;
-  mutable ArenaVector<double> soa_bmax_io_;
-  mutable ArenaVector<double> soa_bmin_cpu_;
-  mutable ArenaVector<double> soa_bmin_mem_;
-  mutable ArenaVector<double> soa_bmin_io_;
-  /// First possibly-stale segment-mirror entry (mutations lower it alongside
-  /// dirty_from_; ensure_mirror resets it past the end).
-  mutable std::size_t mirror_from_ = 0;
-  /// First possibly-stale block-mirror entry. Only ensure_index() invalidates
-  /// it (block summaries change nowhere else), so a scalar-mode rebuild
-  /// still records what a later SIMD query must re-copy.
-  mutable std::size_t block_mirror_from_ = 0;
-  /// True when every mirror plane is fully current — the one branch a SIMD
-  /// query pays between mutations. Cleared wherever a watermark is lowered,
-  /// set by ensure_mirror() after it rewrites the stale tails.
-  mutable bool mirror_clean_ = false;
   std::uint64_t version_ = 0;  ///< mutation epoch, see version()
-
-  std::map<SimTime, ResourceVector> profile_;  // legacy backend storage
 };
 
 }  // namespace vmlp::cluster

@@ -341,9 +341,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
         // window's max certainly cannot (max ≥ span min, and the exact
         // test adds the same non-negative demand+overlay on top).
         // span_could_fit early-exits the span fold on the usual "machine
-        // stays probeable" verdict — via the dispatched SIMD min-fold over
-        // the ledger's SoA mirrors when a vector target is active, with a
-        // verdict byte-identical to the scalar walk (common/simd.h).
+        // stays probeable" verdict.
         const SimTime span_end =
             desired + static_cast<SimDuration>(params_.plan_search_steps) * step + slack;
         // The span starts at `desired` == this k=0 probe's start, so the

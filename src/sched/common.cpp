@@ -16,14 +16,11 @@ namespace {
 /// and every helper is bit-identical to the historical flat scan.
 ///
 /// The density ranking itself is an exact-integer cross-multiplication sort
-/// over at most a few dozen cells — deliberately NOT routed through the
-/// common/simd.h kernels (no float lanes to fill, and the integer compare is
-/// what keeps ranking independent of accumulation order). The per-machine
-/// scans below are where the SIMD work lands, indirectly: every
-/// ledger().fits/available call now runs the dispatched kernels over the
-/// ledger's SoA mirrors, and the ranked buffer is reused per thread so the
-/// scan itself is allocation-free after warm-up (worker threads run disjoint
-/// trials; a thread-local is exactly one live scan deep).
+/// over at most a few dozen cells — the integer compare is what keeps
+/// ranking independent of accumulation order. The ranked buffer is reused
+/// per thread so the scan itself is allocation-free after warm-up (worker
+/// threads run disjoint trials; a thread-local is exactly one live scan
+/// deep).
 template <typename PerCell>
 MachineId scan_ranked_cells(const cluster::Cluster& clustr, PerCell&& per_cell) {
   static thread_local std::vector<std::size_t> ranked;

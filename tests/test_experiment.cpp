@@ -47,15 +47,13 @@ TEST(Experiment, SingleRunProducesResults) {
   }
 }
 
-// The admission fast path (indexed flat ledger + probe pruning + memoized
-// estimates) must be decision-invisible: the same cell run against the legacy
-// map-backed ledger with the fast path off yields the same headline metrics.
-// tools/determinism_check claim 5 byte-compares the full streams; this is the
-// cheap tier-1 canary.
+// The admission fast path (probe pruning + memoized estimates) must be
+// decision-invisible: the same cell run with the fast path off yields the
+// same headline metrics. tools/determinism_check claim 5 byte-compares the
+// full streams; this is the cheap tier-1 canary.
 TEST(Experiment, FastPathMatchesReferenceLedger) {
   ExperimentConfig fast = small_config();
   ExperimentConfig reference = small_config();
-  reference.driver.cluster.legacy_ledger = true;
   reference.vmlp.admission_fast_path = false;
   const auto rf = run_experiment(fast);
   const auto rr = run_experiment(reference);

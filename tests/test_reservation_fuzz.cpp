@@ -1,37 +1,40 @@
-// Differential fuzz for the dual-backend ReservationLedger: random
-// interleavings of reserve/release/fits/max_usage/min_usage/compact_before
-// are checked three ways —
+// Differential fuzz for ReservationLedger: random interleavings of
+// reserve/release/fits/max_usage/min_usage/compact_before are checked two
+// ways —
 //
 //   * against a brute-force dense timeline (one slot per time unit), the
 //     ground truth for every aggregate query;
-//   * flat vs legacy-map backend, bit-exact: the two representations mirror
-//     each other's arithmetic order, so every query must agree to the last
-//     ulp (this is what makes the admission fast path decision-invisible);
-//   * flat-scalar vs flat-SIMD, bit-exact on every host-reachable dispatch
-//     target: the vectorized SoA query twins must reproduce the scalar walk
-//     verbatim (the "byte-identical to scalar" half of the SIMD contract —
-//     the legacy comparison above pins the scalar walk itself);
-//   * under the audit layer's structural invariants (canonical form, cached
-//     headroom freshness, SoA mirror prefixes) on every mutation when
-//     auditing is enabled.
+//   * against the std::map oracle (tests/map_ledger.h), bit-exact: the two
+//     representations share their arithmetic order, so every query must
+//     agree to the last ulp (this is what makes the indexed block walks
+//     decision-invisible);
+//
+// with the audit layer's structural invariants (canonical form, cached
+// headroom freshness) checked on every mutation when auditing is enabled.
 //
 // Runs under the asan-ubsan preset like every other test binary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
-#include <tuple>
 #include <vector>
 
 #include "cluster/reservation.h"
 #include "cluster/resources.h"
 #include "common/rng.h"
-#include "common/simd.h"
+#include "map_ledger.h"
 
 namespace vmlp::cluster {
 namespace {
 
+using oracle::MapLedger;
+
 constexpr SimTime kHorizon = 512;
+/// The flat ledger's coarse-index block length. A window spanning at least
+/// 2 * kIndexBlock - 1 segments contains a whole aligned block whatever its
+/// first segment's index, so queries over it exercise the block-max/min
+/// shortcuts rather than only the per-segment walk.
+constexpr std::size_t kIndexBlock = 32;
 const ResourceVector kCapacity{100.0, 400.0, 50.0};
 
 struct ActiveWindow {
@@ -77,51 +80,13 @@ void expect_bitwise_equal(const ResourceVector& a, const ResourceVector& b, cons
   EXPECT_EQ(a.io, b.io) << what << " io diverged (trial " << trial << " op " << op << ")";
 }
 
-/// Forces a dispatch target for one scope (single-threaded test process).
-class ScopedTarget {
- public:
-  explicit ScopedTarget(simd::Target t) : prev_(simd::active_target()) {
-    simd::set_target_for_testing(t);
-  }
-  ~ScopedTarget() { simd::set_target_for_testing(prev_); }
-  ScopedTarget(const ScopedTarget&) = delete;
-  ScopedTarget& operator=(const ScopedTarget&) = delete;
-
- private:
-  simd::Target prev_;
-};
-
-/// One ledger's answers to the full read-side query surface for a window.
-struct QueryShot {
-  ResourceVector max_usage;
-  ResourceVector min_usage;
-  ResourceVector at;
-  ResourceVector avail;
-  bool fit = false;
-  bool span = false;
-  SimTime refit = 0;
-  SimTime earliest = 0;
-};
-
-QueryShot shoot(const ReservationLedger& led, SimTime t0, SimTime t1,
-                const ResourceVector& demand, SimDuration dur) {
-  QueryShot s;
-  s.max_usage = led.max_usage(t0, t1);
-  s.min_usage = led.min_usage(t0, t1);
-  s.at = led.usage_at(t0);
-  s.avail = led.available(t0, t1);
-  s.refit = std::numeric_limits<SimTime>::min();
-  s.fit = led.fits(t0, t1, demand, nullptr, &s.refit);
-  s.span = led.span_could_fit(t0, t1, demand);
-  s.earliest = led.earliest_fit(t0, dur, demand, kHorizon);
-  return s;
-}
-
 TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
   Rng rng(987654321);
+  // Vacuity guard: queries whose window spans a whole index block.
+  int block_spanning_queries = 0;
   for (int trial = 0; trial < 30; ++trial) {
-    ReservationLedger flat(kCapacity, ReservationLedger::Backend::kFlat);
-    ReservationLedger legacy(kCapacity, ReservationLedger::Backend::kLegacyMap);
+    ReservationLedger flat(kCapacity);
+    MapLedger ref(kCapacity);
     DenseModel model;
     std::vector<ActiveWindow> active;
     SimTime origin = 0;  // times below this are compacted away
@@ -129,7 +94,9 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
     // must be validated away, never change a verdict.
     std::size_t hint = kNoCoverHint;
 
-    for (int op = 0; op < 120; ++op) {
+    // 400 ops per trial: with far fewer the profile stays too short for any
+    // query window to span a whole index block (the vacuity guard below).
+    for (int op = 0; op < 400; ++op) {
       const double dice = rng.uniform();
       if (dice < 0.40 || active.empty()) {
         // reserve
@@ -137,7 +104,7 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
         const SimTime t1 = rng.uniform_int(t0 + 1, kHorizon - 1);
         const ResourceVector res = random_res(rng);
         flat.reserve(t0, t1, res);
-        legacy.reserve(t0, t1, res);
+        ref.reserve(t0, t1, res);
         model.apply(t0, t1, res, +1.0);
         active.push_back(ActiveWindow{t0, t1, res});
       } else if (dice < 0.60) {
@@ -146,7 +113,7 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
             rng.uniform_int(0, static_cast<std::int64_t>(active.size()) - 1));
         const ActiveWindow w = active[idx];
         flat.release(w.t0, w.t1, w.res);
-        legacy.release(w.t0, w.t1, w.res);
+        ref.release(w.t0, w.t1, w.res);
         model.apply(w.t0, w.t1, w.res, -1.0);
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(idx));
       } else if (dice < 0.68) {
@@ -157,32 +124,33 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
         if (limit > origin) {
           const SimTime cp = rng.uniform_int(origin, limit);
           flat.compact_before(cp);
-          legacy.compact_before(cp);
+          ref.compact_before(cp);
           origin = std::max(origin, cp);
         }
       } else {
-        // queries: brute-force truth + bit-exact backend agreement
+        // queries: brute-force truth + bit-exact oracle agreement
         const SimTime t0 = rng.uniform_int(origin, kHorizon - 2);
         const SimTime t1 = rng.uniform_int(t0 + 1, kHorizon - 1);
+        if (ref.segments_in(t0, t1) >= 2 * kIndexBlock - 1) ++block_spanning_queries;
 
         const ResourceVector fmax = flat.max_usage(t0, t1);
-        expect_bitwise_equal(fmax, legacy.max_usage(t0, t1), "max_usage", trial, op);
+        expect_bitwise_equal(fmax, ref.max_usage(t0, t1), "max_usage", trial, op);
         const ResourceVector truth_max = model.max_over(t0, t1);
         EXPECT_NEAR(fmax.cpu, truth_max.cpu, 1e-6) << "trial " << trial << " op " << op;
         EXPECT_NEAR(fmax.mem, truth_max.mem, 1e-6) << "trial " << trial << " op " << op;
         EXPECT_NEAR(fmax.io, truth_max.io, 1e-6) << "trial " << trial << " op " << op;
 
         const ResourceVector fmin = flat.min_usage(t0, t1);
-        expect_bitwise_equal(fmin, legacy.min_usage(t0, t1), "min_usage", trial, op);
+        expect_bitwise_equal(fmin, ref.min_usage(t0, t1), "min_usage", trial, op);
         const ResourceVector truth_min = model.min_over(t0, t1);
         EXPECT_NEAR(fmin.cpu, truth_min.cpu, 1e-6) << "trial " << trial << " op " << op;
 
-        expect_bitwise_equal(flat.usage_at(t0), legacy.usage_at(t0), "usage_at", trial, op);
-        expect_bitwise_equal(flat.available(t0, t1), legacy.available(t0, t1), "available",
+        expect_bitwise_equal(flat.usage_at(t0), ref.usage_at(t0), "usage_at", trial, op);
+        expect_bitwise_equal(flat.available(t0, t1), ref.available(t0, t1), "available",
                              trial, op);
 
         const ResourceVector demand = random_res(rng);
-        EXPECT_EQ(flat.fits(t0, t1, demand), legacy.fits(t0, t1, demand))
+        EXPECT_EQ(flat.fits(t0, t1, demand), ref.fits(t0, t1, demand))
             << "fits diverged (trial " << trial << " op " << op << ")";
         // fits truth: per-component, the window max is achieved bit-exactly
         // by some segment, so the per-segment test is equivalent to testing
@@ -190,9 +158,9 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
         EXPECT_EQ(flat.fits(t0, t1, demand), (fmax + demand).fits_within(kCapacity))
             << "fits contradicts the window max (trial " << trial << " op " << op << ")";
 
-        // span_could_fit is defined as the min-usage verdict, both backends.
+        // span_could_fit is defined as the min-usage verdict, both ledgers.
         const bool span_flat = flat.span_could_fit(t0, t1, demand);
-        EXPECT_EQ(span_flat, legacy.span_could_fit(t0, t1, demand))
+        EXPECT_EQ(span_flat, ref.span_could_fit(t0, t1, demand))
             << "span_could_fit diverged (trial " << trial << " op " << op << ")";
         EXPECT_EQ(span_flat, (fmin + demand).fits_within(kCapacity))
             << "span_could_fit contradicts the window min (trial " << trial << " op " << op
@@ -220,7 +188,7 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
             EXPECT_FALSE(flat.fits(s, s + wdur, demand))
                 << "refit bound pruned a fitting window (trial " << trial << " op " << op
                 << " start " << s << ")";
-            EXPECT_FALSE(legacy.fits(s, s + wdur, demand))
+            EXPECT_FALSE(ref.fits(s, s + wdur, demand))
                 << "refit bound disagrees with the reference (trial " << trial << " op " << op
                 << " start " << s << ")";
           }
@@ -228,80 +196,50 @@ TEST(LedgerFuzz, BackendsMatchEachOtherAndBruteForce) {
 
         const SimDuration dur = rng.uniform_int(1, 64);
         std::size_t flat_probes = 0;
-        std::size_t legacy_probes = 0;
+        std::size_t ref_probes = 0;
         const SimTime ef_flat = flat.earliest_fit(t0, dur, demand, kHorizon, &flat_probes);
-        const SimTime ef_legacy = legacy.earliest_fit(t0, dur, demand, kHorizon, &legacy_probes);
-        EXPECT_EQ(ef_flat, ef_legacy)
+        const SimTime ef_ref = ref.earliest_fit(t0, dur, demand, kHorizon, &ref_probes);
+        EXPECT_EQ(ef_flat, ef_ref)
             << "earliest_fit diverged (trial " << trial << " op " << op << ")";
-        EXPECT_LE(flat_probes, legacy_probes)
+        EXPECT_LE(flat_probes, ref_probes)
             << "flat earliest_fit probed more than the reference (trial " << trial << " op "
             << op << ")";
-
-        // Third way: the flat backend re-answers the full query surface under
-        // every host-reachable dispatch target, and each answer must match
-        // the forced-scalar one bit for bit (verdicts, aggregates, AND the
-        // refit bound a failed fits reports). Switching targets mid-process
-        // also exercises the SoA mirror staleness watermarks: a mutation
-        // applied while scalar was active must be visible to the next
-        // vectorized query.
-        const QueryShot ref = [&] {
-          ScopedTarget forced(simd::Target::kScalar);
-          return shoot(flat, t0, t1, demand, dur);
-        }();
-        for (const simd::Target target : simd::reachable_targets()) {
-          if (target == simd::Target::kScalar) continue;
-          ScopedTarget forced(target);
-          const QueryShot got = shoot(flat, t0, t1, demand, dur);
-          const char* leg = simd::target_name(target);
-          expect_bitwise_equal(got.max_usage, ref.max_usage, leg, trial, op);
-          expect_bitwise_equal(got.min_usage, ref.min_usage, leg, trial, op);
-          expect_bitwise_equal(got.at, ref.at, leg, trial, op);
-          expect_bitwise_equal(got.avail, ref.avail, leg, trial, op);
-          EXPECT_EQ(got.fit, ref.fit)
-              << leg << " fits diverged from scalar (trial " << trial << " op " << op << ")";
-          EXPECT_EQ(got.refit, ref.refit)
-              << leg << " refit bound diverged from scalar (trial " << trial << " op " << op
-              << ")";
-          EXPECT_EQ(got.span, ref.span)
-              << leg << " span_could_fit diverged from scalar (trial " << trial << " op " << op
-              << ")";
-          EXPECT_EQ(got.earliest, ref.earliest)
-              << leg << " earliest_fit diverged from scalar (trial " << trial << " op " << op
-              << ")";
-        }
       }
     }
   }
+  EXPECT_GT(block_spanning_queries, 0)
+      << "no query window spanned a whole " << kIndexBlock
+      << "-segment index block — the block shortcuts went untested";
 }
 
 /// Run-skipping regression (the earliest_fit fast path): a long consecutive
 /// run of blocking segments must be jumped in one probe, not walked
-/// boundary-by-boundary like the legacy reference.
+/// boundary-by-boundary like the map oracle.
 TEST(LedgerFuzz, EarliestFitSkipsBlockingRunInOneProbe) {
-  ReservationLedger flat({4, 4, 4}, ReservationLedger::Backend::kFlat);
-  ReservationLedger legacy({4, 4, 4}, ReservationLedger::Backend::kLegacyMap);
+  ReservationLedger flat({4, 4, 4});
+  MapLedger ref({4, 4, 4});
   // 40 adjacent blocking segments at distinct levels (no coalescing).
   for (int i = 0; i < 40; ++i) {
     const ResourceVector res{3.5 + 0.01 * static_cast<double>(i), 0, 0};
     flat.reserve(i * 10, (i + 1) * 10, res);
-    legacy.reserve(i * 10, (i + 1) * 10, res);
+    ref.reserve(i * 10, (i + 1) * 10, res);
   }
   const ResourceVector demand{1, 0, 0};
   std::size_t flat_probes = 0;
-  std::size_t legacy_probes = 0;
+  std::size_t ref_probes = 0;
   EXPECT_EQ(flat.earliest_fit(0, 20, demand, 10000, &flat_probes), 400);
-  EXPECT_EQ(legacy.earliest_fit(0, 20, demand, 10000, &legacy_probes), 400);
+  EXPECT_EQ(ref.earliest_fit(0, 20, demand, 10000, &ref_probes), 400);
   // One probe finds the run, the second lands past it; the reference steps
   // through every one of the 40 boundaries first.
   EXPECT_LE(flat_probes, 3u);
-  EXPECT_GE(legacy_probes, 40u);
+  EXPECT_GE(ref_probes, 40u);
 }
 
 /// The refit bound a failed fits() reports is the end of the *maximal*
 /// blocking run, so one failure prunes every later probe that still overlaps
 /// the run.
 TEST(LedgerFuzz, FitsRefitBoundCoversTheWholeBlockingRun) {
-  ReservationLedger flat({4, 4, 4}, ReservationLedger::Backend::kFlat);
+  ReservationLedger flat({4, 4, 4});
   for (int i = 0; i < 40; ++i) {
     flat.reserve(100 + i * 10, 100 + (i + 1) * 10, {3.5 + 0.01 * static_cast<double>(i), 0, 0});
   }
@@ -316,7 +254,7 @@ TEST(LedgerFuzz, FitsRefitBoundCoversTheWholeBlockingRun) {
   EXPECT_TRUE(flat.fits(0, 50, demand, nullptr, &bound));
   EXPECT_EQ(bound, -1);
   // A run followed by a quiet tail reports the exact run end.
-  ReservationLedger tail({4, 4, 4}, ReservationLedger::Backend::kFlat);
+  ReservationLedger tail({4, 4, 4});
   tail.reserve(0, 100, {4, 0, 0});
   tail.release(50, 100, {4, 0, 0});
   // Profile: [0,50) level 4 (blocks), [50,inf) level 0. Window over the
@@ -329,16 +267,18 @@ TEST(LedgerFuzz, FitsRefitBoundCoversTheWholeBlockingRun) {
 /// An infinite blocking tail (overbooked forever from some point on) must
 /// terminate, not scan to the horizon boundary-by-boundary.
 TEST(LedgerFuzz, EarliestFitInfiniteTailTerminates) {
-  for (const auto backend :
-       {ReservationLedger::Backend::kFlat, ReservationLedger::Backend::kLegacyMap}) {
-    ReservationLedger ledger({4, 4, 4}, backend);
-    ledger.reserve(0, 100, {4, 0, 0});
-    // Release never happens; beyond t=100 the ledger is empty, so a fit at
-    // t=100 exists — but cap the horizon below it.
-    std::size_t probes = 0;
-    EXPECT_EQ(ledger.earliest_fit(0, 10, {1, 0, 0}, 50, &probes), kTimeInfinity);
-    EXPECT_LE(probes, 2u);
-  }
+  ReservationLedger flat({4, 4, 4});
+  MapLedger ref({4, 4, 4});
+  flat.reserve(0, 100, {4, 0, 0});
+  ref.reserve(0, 100, {4, 0, 0});
+  // Release never happens; beyond t=100 the ledger is empty, so a fit at
+  // t=100 exists — but cap the horizon below it.
+  std::size_t flat_probes = 0;
+  std::size_t ref_probes = 0;
+  EXPECT_EQ(flat.earliest_fit(0, 10, {1, 0, 0}, 50, &flat_probes), kTimeInfinity);
+  EXPECT_EQ(ref.earliest_fit(0, 10, {1, 0, 0}, 50, &ref_probes), kTimeInfinity);
+  EXPECT_LE(flat_probes, 2u);
+  EXPECT_LE(ref_probes, 2u);
 }
 
 }  // namespace

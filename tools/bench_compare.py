@@ -22,9 +22,7 @@ Compares a freshly produced BENCH_core.json against bench/baseline.json:
     class, so there the floors actually bind.
   * per-key gates (--gate KEY=FRACTION, repeatable): FAIL when that exact
     metric regresses more than FRACTION relative to the baseline. This is
-    how one metric gets a tighter budget than the blanket --fail-threshold
-    (e.g. the forced-scalar sched leg must stay within 5% of its baseline —
-    the scalar path must never pay for the SIMD machinery).
+    how one metric gets a tighter budget than the blanket --fail-threshold.
   * hardware mismatch: when a floored key exists in the baseline and the
     two runs report different `hardware_concurrency`, the floor verdict is
     still enforced but a WARNING is printed — a floor chosen on one runner
@@ -55,7 +53,7 @@ from pathlib import Path
 
 # Metrics whose regression fails the job (substring match on the metric key).
 # Note sched.reference_placements_per_sec deliberately does NOT contain the
-# gated key: the legacy-ledger reference is informational, not enforced.
+# gated key: the fast-path-off reference is informational, not enforced.
 # scale.placements_per_sec gates the 1k-machine multi-cell leg (the `scale`
 # CI job); it is compared only when both runs carry it, so default harness
 # runs (which skip the opt-in scale family) are unaffected.

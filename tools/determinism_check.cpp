@@ -1,6 +1,6 @@
 // determinism_check — the simulator's reproducibility gate.
 //
-// Three claims are byte-verified:
+// Eight claims are byte-verified:
 //
 //  1. Sweep-level parallelism is invisible: the same experiment grid run on a
 //     1-thread pool and an N-thread pool yields identical result rows. The
@@ -23,9 +23,10 @@
 //
 //  5. The admission fast path is decision-invisible: v-MLP grids in the
 //     fig. 10 (L1 pulse, mixed stream) and fig. 13 (L2 fluctuating, high-V_r)
-//     shapes produce byte-identical metric streams with the indexed flat
-//     ledger + probe pruning + memoization enabled versus the legacy
-//     map-backed ledger with the fast path off, at 1, 4 and 8 pool threads.
+//     shapes produce byte-identical metric streams with probe pruning +
+//     memoization enabled versus the fast path off, at 1, 4 and 8 pool
+//     threads. (The ledger's own block-index walks are held bit-identical
+//     to a std::map oracle by tests/test_reservation_fuzz.cpp.)
 //
 //  6. Telemetry collection is zero-perturbation: the claim-1 grid's trial
 //     summaries are byte-identical with the obs collector on versus off at
@@ -132,8 +133,7 @@ std::vector<exp::ExperimentConfig> make_failure_grid() {
 
 /// The claim-5 grids: v-MLP in the fig. 10 and fig. 13 report shapes (the two
 /// workload/stream combinations the paper's headline figures are built from),
-/// both seeds. `reference` switches every cell to the legacy map-backed
-/// ledger with the admission fast path off.
+/// both seeds. `reference` switches the admission fast path off in every cell.
 std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
   std::vector<exp::ExperimentConfig> grid;
   struct Shape {
@@ -151,7 +151,6 @@ std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
       c.driver.horizon = 4 * kSec;
       c.driver.cluster.machine_count = 10;
       c.driver.interference.enabled = true;
-      c.driver.cluster.legacy_ledger = reference;
       c.vmlp.admission_fast_path = !reference;
       c.pattern_params.horizon = c.driver.horizon;
       c.pattern_params.base_rate = 16.0;
@@ -390,12 +389,12 @@ int main() {
     const int failures_before_fastpath = failures;
     std::string fastpath_baseline;
     for (const std::size_t threads : {1u, 4u, 8u}) {
-      std::cout << "running fast-path vs reference-ledger grids at " << threads
+      std::cout << "running fast-path vs fast-path-off grids at " << threads
                 << " thread(s)..." << std::endl;
       const std::string fast = run_grid_stream(fast_grid, threads);
       const std::string reference = run_grid_stream(ref_grid, threads);
       if (fast != reference) {
-        report_divergence("fast-path vs reference-ledger metric stream (" +
+        report_divergence("fast-path vs fast-path-off metric stream (" +
                               std::to_string(threads) + " threads)",
                           fast, reference);
         ++failures;
@@ -426,7 +425,7 @@ int main() {
       }
     }
     if (failures == failures_before_fastpath) {
-      std::cout << "OK: fast-path and reference-ledger streams byte-identical across "
+      std::cout << "OK: fast-path and fast-path-off streams byte-identical across "
                    "1/4/8 threads ("
                 << fastpath_baseline.size() << " bytes)\n";
     }

@@ -182,34 +182,6 @@ class MetricNameRuleTest(unittest.TestCase):
         self.assertEqual(rules, [])
 
 
-class SimdIsolationRuleTest(unittest.TestCase):
-    def test_intrinsic_header_flagged(self):
-        rules = lint_source("#include <immintrin.h>\n")
-        self.assertIn("simd-isolation", rules)
-
-    def test_neon_header_flagged(self):
-        rules = lint_source("#include <arm_neon.h>\n")
-        self.assertIn("simd-isolation", rules)
-
-    def test_intrinsic_call_flagged(self):
-        rules = lint_source("double f(__m256d v) { return _mm256_cvtsd_f64(v); }\n")
-        self.assertIn("simd-isolation", rules)
-
-    def test_neon_intrinsic_flagged(self):
-        rules = lint_source("void f(float64x2_t a) { vminq_f64(a, a); }\n")
-        self.assertIn("simd-isolation", rules)
-
-    def test_common_simd_sources_exempt(self):
-        src = "#include <immintrin.h>\n__m256d z() { return _mm256_setzero_pd(); }\n"
-        for rel in ("src/common/simd.cpp", "src/common/simd_avx2.cpp", "src/common/simd.h"):
-            self.assertEqual(lint_source(src, rel), [], rel)
-
-    def test_lookalike_identifiers_pass(self):
-        rules = lint_source("int comm_mm256_total = 0; double vq_f32 = 0;\n"
-                            '#include "common/simd.h"\n')
-        self.assertEqual(rules, [])
-
-
 class PhaseCoverageRuleTest(unittest.TestCase):
     ENUM = ("enum class Phase : std::uint8_t {\n"
             "  kNetwork = 0, kQueue, kExec, kLostExec,\n"

@@ -32,14 +32,6 @@ tools/vmlp_analyze.py [unordered-escape] rule supersedes the old regex
 into float accumulation, event scheduling, or export sinks, so the
 `lint: unordered-ok` waivers are gone too).
 
-  [simd-isolation]   Raw SIMD intrinsic headers (<immintrin.h>, <arm_neon.h>,
-                     ...) and intrinsic calls (_mm*/_mm256_*, v*q_f64 NEON
-                     forms) are banned outside src/common/simd* — the one
-                     dispatch layer that pairs every intrinsic kernel with a
-                     bit-identical scalar reference and a -DVMLP_NO_SIMD
-                     escape hatch. An intrinsic anywhere else dodges all
-                     three guarantees.
-
   [metric-name]      Telemetry metric names registered via
                      add_counter/add_gauge/add_histogram must follow the
                      `subsystem.noun_verb` style (>= 2 dot-separated lowercase
@@ -447,51 +439,6 @@ def check_phase_coverage(root: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# rule: simd-isolation
-
-SIMD_INCLUDE = re.compile(r'#\s*include\s*<(\w*intrin\.h|arm_neon\.h|arm_sve\.h)>')
-SIMD_INTRINSIC = re.compile(
-    # x86: _mm_*/_mm256_*/_mm512_* calls and __m128d/__m256d vector types;
-    # NEON: the q-form f64 intrinsics (vaddq_f64, vld1q_f64, ...) and their
-    # float64x2_t operand type. Word-bounded so e.g. comm_mm256_total stays
-    # clean.
-    r"\b_mm(?:256|512)?_\w+\s*\(|\b__m(?:128|256|512)[di]?\b"
-    r"|\bv\w+q?_f64\b|\bfloat64x2(?:x[234])?_t\b"
-)
-
-
-def check_simd_isolation(path: Path, clean_lines: list[str], findings: list[Finding]) -> None:
-    rel = path.as_posix()
-    if "/common/simd" in rel:
-        return  # the sanctioned dispatch layer (simd.h, simd.cpp, simd_avx2.cpp)
-    for lineno, line in enumerate(clean_lines, 1):
-        m = SIMD_INCLUDE.search(line)
-        if m:
-            findings.append(
-                Finding(
-                    path,
-                    lineno,
-                    "simd-isolation",
-                    f"raw intrinsic header <{m.group(1)}>; only common/simd* may "
-                    "touch intrinsics — call through simd::kernels() so the "
-                    "scalar fallback and VMLP_NO_SIMD stay truthful",
-                )
-            )
-            continue
-        m = SIMD_INTRINSIC.search(line)
-        if m:
-            findings.append(
-                Finding(
-                    path,
-                    lineno,
-                    "simd-isolation",
-                    f"raw SIMD intrinsic '{m.group(0).rstrip('(').strip()}' outside "
-                    "common/simd*; route it through a simd::KernelTable entry",
-                )
-            )
-
-
-# --------------------------------------------------------------------------
 # driver
 
 
@@ -504,7 +451,6 @@ def lint_file(path: Path, metric_registry: dict[str, tuple[Path, int]]) -> list[
     check_determinism(path, clean_lines, findings)
     check_relative_include(path, raw_lines, findings)
     check_raw_mutex(path, clean_lines, findings)
-    check_simd_isolation(path, clean_lines, findings)
     check_mutex_guard(path, raw_lines, clean, findings)
     check_metric_names(path, raw, findings, metric_registry)
     return findings
