@@ -83,12 +83,6 @@ RequestTypeId Application::commit_request(RequestTypeBuilder& builder) {
   return id;
 }
 
-const MicroserviceType& Application::service(ServiceTypeId id) const {
-  VMLP_CHECK_MSG(id.valid() && id.value() < services_.size(),
-                 "unknown service id " << id.value());
-  return services_[id.value()];
-}
-
 const RequestType& Application::request(RequestTypeId id) const {
   VMLP_CHECK_MSG(id.valid() && id.value() < requests_.size(),
                  "unknown request type id " << id.value());

@@ -11,6 +11,7 @@
 #include "app/dag.h"
 #include "app/microservice.h"
 #include "app/volatility.h"
+#include "common/error.h"
 #include "common/types.h"
 
 namespace vmlp::app {
@@ -86,7 +87,11 @@ class Application {
   /// Start building a request type.
   RequestTypeBuilder build_request(const std::string& name);
 
-  [[nodiscard]] const MicroserviceType& service(ServiceTypeId id) const;
+  [[nodiscard]] const MicroserviceType& service(ServiceTypeId id) const {
+    VMLP_CHECK_MSG(id.valid() && id.value() < services_.size(),
+                   "unknown service id " << id.value());
+    return services_[id.value()];
+  }
   [[nodiscard]] const RequestType& request(RequestTypeId id) const;
   [[nodiscard]] std::optional<ServiceTypeId> find_service(const std::string& name) const;
   [[nodiscard]] std::optional<RequestTypeId> find_request(const std::string& name) const;

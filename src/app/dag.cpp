@@ -19,11 +19,6 @@ void Dag::add_edge(std::size_t from, std::size_t to) {
   parents_[to].push_back(from);
 }
 
-const std::vector<std::size_t>& Dag::parents(std::size_t node) const {
-  VMLP_CHECK(node < n_);
-  return parents_[node];
-}
-
 const std::vector<std::size_t>& Dag::children(std::size_t node) const {
   VMLP_CHECK(node < n_);
   return children_[node];

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace vmlp::app {
@@ -26,7 +27,10 @@ class Dag {
   [[nodiscard]] const std::vector<std::pair<std::size_t, std::size_t>>& edges() const {
     return edges_;
   }
-  [[nodiscard]] const std::vector<std::size_t>& parents(std::size_t node) const;
+  [[nodiscard]] const std::vector<std::size_t>& parents(std::size_t node) const {
+    VMLP_CHECK(node < n_);
+    return parents_[node];
+  }
   [[nodiscard]] const std::vector<std::size_t>& children(std::size_t node) const;
   [[nodiscard]] std::vector<std::size_t> roots() const;
   [[nodiscard]] std::vector<std::size_t> sinks() const;

@@ -26,16 +26,6 @@ RequestRuntime::RequestRuntime(const RequestType& type, RequestId id, SimTime ar
   }
 }
 
-const NodeRuntime& RequestRuntime::node(std::size_t i) const {
-  VMLP_CHECK(i < nodes_.size());
-  return nodes_[i];
-}
-
-NodeRuntime& RequestRuntime::node(std::size_t i) {
-  VMLP_CHECK(i < nodes_.size());
-  return nodes_[i];
-}
-
 std::vector<std::size_t> RequestRuntime::ready_nodes() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {

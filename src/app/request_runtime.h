@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "app/application.h"
+#include "common/error.h"
 #include "common/types.h"
 
 namespace vmlp::app {
@@ -37,8 +38,14 @@ class RequestRuntime {
   [[nodiscard]] SimTime arrival() const { return arrival_; }
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
-  [[nodiscard]] const NodeRuntime& node(std::size_t i) const;
-  [[nodiscard]] NodeRuntime& node(std::size_t i);
+  [[nodiscard]] const NodeRuntime& node(std::size_t i) const {
+    VMLP_CHECK(i < nodes_.size());
+    return nodes_[i];
+  }
+  [[nodiscard]] NodeRuntime& node(std::size_t i) {
+    VMLP_CHECK(i < nodes_.size());
+    return nodes_[i];
+  }
 
   /// Nodes currently in kReady state (dependencies met, not yet placed).
   [[nodiscard]] std::vector<std::size_t> ready_nodes() const;

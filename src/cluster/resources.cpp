@@ -7,55 +7,8 @@
 
 namespace vmlp::cluster {
 
-ResourceVector& ResourceVector::operator+=(const ResourceVector& o) {
-  cpu += o.cpu;
-  mem += o.mem;
-  io += o.io;
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator-=(const ResourceVector& o) {
-  cpu -= o.cpu;
-  mem -= o.mem;
-  io -= o.io;
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator*=(double k) {
-  cpu *= k;
-  mem *= k;
-  io *= k;
-  return *this;
-}
-
-ResourceVector ResourceVector::max(const ResourceVector& o) const {
-  return {std::max(cpu, o.cpu), std::max(mem, o.mem), std::max(io, o.io)};
-}
-
-ResourceVector ResourceVector::min(const ResourceVector& o) const {
-  return {std::min(cpu, o.cpu), std::min(mem, o.mem), std::min(io, o.io)};
-}
-
-ResourceVector ResourceVector::clamp_to(const ResourceVector& hi) const {
-  return {std::clamp(cpu, 0.0, hi.cpu), std::clamp(mem, 0.0, hi.mem), std::clamp(io, 0.0, hi.io)};
-}
-
-bool ResourceVector::fits_within(const ResourceVector& budget) const {
-  return cpu <= budget.cpu + kResourceEpsilon && mem <= budget.mem + kResourceEpsilon &&
-         io <= budget.io + kResourceEpsilon;
-}
-
-bool ResourceVector::any_negative() const {
-  return cpu < -kResourceEpsilon || mem < -kResourceEpsilon || io < -kResourceEpsilon;
-}
-
 bool ResourceVector::is_finite() const {
   return std::isfinite(cpu) && std::isfinite(mem) && std::isfinite(io);
-}
-
-bool ResourceVector::near_zero() const {
-  return std::abs(cpu) <= kResourceEpsilon && std::abs(mem) <= kResourceEpsilon &&
-         std::abs(io) <= kResourceEpsilon;
 }
 
 double ResourceVector::utilization_sum(const ResourceVector& capacity) const {

@@ -1,43 +1,44 @@
 #include "common/audit.h"
 
-#include <atomic>
+#include <cctype>
+#include <cstddef>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 namespace vmlp::audit {
-namespace {
+namespace detail {
 
-enum class State : int { kUnset = -1, kOff = 0, kOn = 1 };
-
-// not guarded: atomic single word; relaxed ordering is sufficient — the flag
-// is a hint read at check sites, not a synchronization point.
-std::atomic<int> g_state{static_cast<int>(State::kUnset)};
-
-bool default_enabled() noexcept {
-  if (const char* env = std::getenv("VMLP_AUDIT")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) return false;
+std::optional<bool> parse_env(const char* value) noexcept {
+  if (value == nullptr) return std::nullopt;
+  const std::string_view v(value);
+  auto equals_ci = [&v](std::string_view word) {
+    if (v.size() != word.size()) return false;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (std::tolower(static_cast<unsigned char>(v[i])) != word[i]) return false;
+    }
     return true;
+  };
+  for (std::string_view off : {"", "0", "off", "false", "no"}) {
+    if (equals_ci(off)) return false;
   }
-#if defined(VMLP_AUDIT) && VMLP_AUDIT
   return true;
+}
+
+bool resolve_default() noexcept {
+#if defined(VMLP_AUDIT) && VMLP_AUDIT
+  constexpr bool kCompiledOn = true;
 #else
-  return false;
+  constexpr bool kCompiledOn = false;
 #endif
+  const bool on = parse_env(std::getenv("VMLP_AUDIT")).value_or(kCompiledOn);
+  g_state.store(on ? 1 : 0, std::memory_order_relaxed);
+  return on;
 }
 
-}  // namespace
-
-bool enabled() noexcept {
-  int s = g_state.load(std::memory_order_relaxed);
-  if (s == static_cast<int>(State::kUnset)) {
-    s = default_enabled() ? 1 : 0;
-    g_state.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
+}  // namespace detail
 
 void set_enabled(bool on) noexcept {
-  g_state.store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::g_state.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace vmlp::audit

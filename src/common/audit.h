@@ -8,7 +8,9 @@
 //
 // Enablement, in precedence order:
 //   1. vmlp::audit::set_enabled(bool)     — tests flip this directly;
-//   2. environment VMLP_AUDIT=1/0         — read once at first query;
+//   2. environment VMLP_AUDIT             — read once at first query; `0`,
+//      `off`, `false`, `no` (any case) and the empty string mean off, any
+//      other value means on;
 //   3. compile default: on when built with -DVMLP_AUDIT=1 (the `audit` and
 //      `asan-ubsan` CMake presets), off otherwise.
 //
@@ -16,12 +18,40 @@
 // can assert that a deliberately corrupted state is caught.
 #pragma once
 
+#include <atomic>
+#include <optional>
+
 #include "common/error.h"
 
 namespace vmlp::audit {
 
-/// True when audit assertions are live.
-[[nodiscard]] bool enabled() noexcept;
+namespace detail {
+
+inline constexpr int kUnset = -1;
+
+// not guarded: atomic single word; relaxed ordering is sufficient — the flag
+// is a hint read at check sites, not a synchronization point. kUnset until
+// the first query or set_enabled(); then 0 (off) or 1 (on).
+inline std::atomic<int> g_state{kUnset};
+
+/// Meaning of a VMLP_AUDIT environment value: nullopt when unset (nullptr),
+/// false for `0`, `off`, `false`, `no` (case-insensitive) or the empty
+/// string, true otherwise.
+[[nodiscard]] std::optional<bool> parse_env(const char* value) noexcept;
+
+/// Resolves the default from the environment or the compile-time setting,
+/// stores it in g_state and returns it. Runs once per process.
+[[nodiscard]] bool resolve_default() noexcept;
+
+}  // namespace detail
+
+/// True when audit assertions are live. After the first query this is a
+/// single relaxed load.
+[[nodiscard]] inline bool enabled() noexcept {
+  const int s = detail::g_state.load(std::memory_order_relaxed);
+  if (s == detail::kUnset) [[unlikely]] return detail::resolve_default();
+  return s != 0;
+}
 
 /// Force auditing on/off for this process (overrides env and compile default).
 void set_enabled(bool on) noexcept;

@@ -404,8 +404,8 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     // Headroom-index jump (multi-cell only — a single cell must stay
     // bit-exact to the flat scan): rotate the scan base to the first machine
     // the per-32-machine summary guarantees can host the demand at every
-    // time (a vectorized find-first over the cell's cached free fractions —
-    // see CellTopology::first_fit_candidate). Typically its j = 0 probe
+    // time (a block-pruned linear scan of the cell's cached free fractions
+    // — see CellTopology::first_fit_candidate). Typically its j = 0 probe
     // admits immediately; if a plan overlay blocks it, the scan continues
     // from there — same coverage, rotated order, still a pure function of
     // simulation state.

@@ -18,9 +18,11 @@ class Topology {
 
   [[nodiscard]] std::size_t machine_count() const { return machines_; }
   [[nodiscard]] std::size_t rack_count() const;
-  // rack_of/distance are defined inline: the admission planner's
+  // rack_of/distance are defined in the header: the admission planner's
   // desired-start estimation calls them per (parent, candidate machine)
-  // probe — tens of millions of times on a contended cell.
+  // probe — tens of millions of times on a contended cell. The range check
+  // stays; it inlines because a failed VMLP_CHECK_MSG calls a cold,
+  // out-of-line function and builds no message at the call site.
   [[nodiscard]] std::size_t rack_of(MachineId m) const {
     VMLP_CHECK_MSG(m.valid() && m.value() < machines_, "machine id out of range");
     return m.value() / per_rack_;

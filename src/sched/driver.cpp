@@ -185,19 +185,6 @@ std::vector<std::pair<RequestId, std::size_t>> SimulationDriver::running_on(
   return out;
 }
 
-SimDuration SimulationDriver::expected_comm(MachineId a, MachineId b) const {
-  const auto& p = params_.comm;
-  switch (topology_.distance(a, b)) {
-    case net::Distance::kSameMachine:
-      return static_cast<SimDuration>(p.same_machine_mean_us);
-    case net::Distance::kSameRack:
-      return static_cast<SimDuration>(p.same_rack_mean_us);
-    case net::Distance::kCrossRack:
-    default:
-      return static_cast<SimDuration>(p.cross_rack_mean_us);
-  }
-}
-
 double SimulationDriver::volatility(RequestTypeId type) const {
   VMLP_CHECK_MSG(type.value() < volatility_cache_.size(), "unknown request type");
   return volatility_cache_[type.value()];

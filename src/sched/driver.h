@@ -285,7 +285,18 @@ class SimulationDriver {
   void unplace(RequestId id, std::size_t node);
 
   /// Mean communication delay estimate between two machines (planning aid).
-  [[nodiscard]] SimDuration expected_comm(MachineId a, MachineId b) const;
+  [[nodiscard]] SimDuration expected_comm(MachineId a, MachineId b) const {
+    const auto& p = params_.comm;
+    switch (topology_.distance(a, b)) {
+      case net::Distance::kSameMachine:
+        return static_cast<SimDuration>(p.same_machine_mean_us);
+      case net::Distance::kSameRack:
+        return static_cast<SimDuration>(p.same_rack_mean_us);
+      case net::Distance::kCrossRack:
+      default:
+        return static_cast<SimDuration>(p.cross_rack_mean_us);
+    }
+  }
   /// Mean ingress delay (request handler -> first microservice).
   [[nodiscard]] SimDuration expected_ingress() const {
     return static_cast<SimDuration>(params_.comm.same_rack_mean_us);

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "cluster/reservation.h"
 #include "common/audit.h"
@@ -238,6 +241,74 @@ TEST_F(PlanIntegrityTest, PlacedNodesNeedNoCover) {
 TEST(AuditToggle, SetEnabledWins) {
   audit::set_enabled(true);
   EXPECT_TRUE(audit::enabled());
+  audit::set_enabled(false);
+  EXPECT_FALSE(audit::enabled());
+}
+
+TEST(AuditEnv, OffSpellings) {
+  for (const char* v : {"0", "off", "OFF", "Off", "false", "FALSE", "no", "No", ""}) {
+    const std::optional<bool> on = audit::detail::parse_env(v);
+    ASSERT_TRUE(on.has_value()) << '"' << v << '"';
+    EXPECT_FALSE(*on) << '"' << v << '"';
+  }
+}
+
+TEST(AuditEnv, OnSpellings) {
+  for (const char* v : {"1", "on", "true", "yes", "ON", "2", "audit", "offf", "nope"}) {
+    const std::optional<bool> on = audit::detail::parse_env(v);
+    ASSERT_TRUE(on.has_value()) << '"' << v << '"';
+    EXPECT_TRUE(*on) << '"' << v << '"';
+  }
+}
+
+TEST(AuditEnv, UnsetMeansNoOpinion) {
+  EXPECT_FALSE(audit::detail::parse_env(nullptr).has_value());
+}
+
+/// Saves the auditor state and VMLP_AUDIT, then restores both: the inline
+/// enabled() is exercised from the unresolved state, where it reads the env.
+class AuditEnvResolve : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    saved_state_ = audit::detail::g_state.load();
+    if (const char* v = std::getenv("VMLP_AUDIT")) saved_env_ = v;
+  }
+  void TearDown() override {
+    if (saved_env_) {
+      ::setenv("VMLP_AUDIT", saved_env_->c_str(), 1);
+    } else {
+      ::unsetenv("VMLP_AUDIT");
+    }
+    audit::detail::g_state.store(saved_state_);
+  }
+  static bool resolve_with(const char* env) {
+    ::setenv("VMLP_AUDIT", env, 1);
+    audit::detail::g_state.store(audit::detail::kUnset);
+    return audit::enabled();
+  }
+
+ private:
+  int saved_state_ = audit::detail::kUnset;
+  std::optional<std::string> saved_env_;
+};
+
+TEST_F(AuditEnvResolve, FalseTurnsAuditingOff) {
+  EXPECT_FALSE(resolve_with("false"));
+  // Resolved once: later queries are the stored answer, not a re-read.
+  ::setenv("VMLP_AUDIT", "1", 1);
+  EXPECT_FALSE(audit::enabled());
+}
+
+TEST_F(AuditEnvResolve, OffSpellingsAndOn) {
+  EXPECT_FALSE(resolve_with("no"));
+  EXPECT_FALSE(resolve_with(""));
+  EXPECT_FALSE(resolve_with("0"));
+  EXPECT_TRUE(resolve_with("1"));
+  EXPECT_TRUE(resolve_with("yes"));
+}
+
+TEST_F(AuditEnvResolve, SetEnabledOverridesEnv) {
+  ::setenv("VMLP_AUDIT", "1", 1);
   audit::set_enabled(false);
   EXPECT_FALSE(audit::enabled());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -68,6 +69,105 @@ TEST(Error, CheckThrowsWithMessage) {
 }
 
 TEST(Error, CheckPassesSilently) { VMLP_CHECK(1 + 1 == 2); }
+
+// The check macros' contract: the condition is evaluated once at the call
+// site, the message only on failure (the failure path is a cold out-of-line
+// function), and what() keeps its exact text.
+
+TEST(Error, CheckEvaluatesConditionExactlyOnce) {
+  int evals = 0;
+  VMLP_CHECK(++evals > 0);
+  EXPECT_EQ(evals, 1);
+  VMLP_CHECK_MSG(++evals > 0, "unused");
+  EXPECT_EQ(evals, 2);
+  EXPECT_THROW(VMLP_CHECK(++evals < 0), InvariantError);
+  EXPECT_EQ(evals, 3);
+  EXPECT_THROW(VMLP_CHECK_MSG(++evals < 0, "x"), InvariantError);
+  EXPECT_EQ(evals, 4);
+}
+
+TEST(Error, CheckMessageEvaluatedOnlyOnFailure) {
+  int streamed = 0;
+  auto count = [&streamed] { return ++streamed; };
+  VMLP_CHECK_MSG(true, "count " << count());
+  EXPECT_EQ(streamed, 0);
+  try {
+    VMLP_CHECK_MSG(false, "count " << count() << " and " << count());
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(streamed, 2);
+    EXPECT_NE(std::string(e.what()).find("count 1 and 2"), std::string::npos);
+  }
+}
+
+TEST(Error, CheckWhatTextIsExact) {
+  int line = 0;
+  try {
+    line = __LINE__ + 1;
+    VMLP_CHECK(1 + 1 == 3);
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(std::string(e.what()), std::string("invariant failed: 1 + 1 == 3 at ") +
+                                         __FILE__ + ":" + std::to_string(line));
+  }
+  try {
+    line = __LINE__ + 1;
+    VMLP_CHECK_MSG(2 < 1, "two is " << 2);
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(std::string(e.what()), std::string("invariant failed: 2 < 1 at ") + __FILE__ +
+                                         ":" + std::to_string(line) + " — two is 2");
+  }
+  // An empty message adds no separator, exactly like VMLP_CHECK.
+  try {
+    line = __LINE__ + 1;
+    VMLP_CHECK_MSG(false, "");
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(std::string(e.what()), std::string("invariant failed: false at ") + __FILE__ +
+                                         ":" + std::to_string(line));
+  }
+}
+
+class CheckedBox {
+ public:
+  explicit CheckedBox(int limit) : limit_(limit) {}
+  [[nodiscard]] int get(int i) const {
+    VMLP_CHECK_MSG(i < limit_, "index " << i << " >= limit " << limit_);
+    return i;
+  }
+
+ private:
+  int limit_;
+};
+
+TEST(Error, CheckInConstMemberFunction) {
+  const CheckedBox box(3);
+  EXPECT_EQ(box.get(2), 2);
+  try {
+    (void)box.get(5);
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("index 5 >= limit 3"), std::string::npos);
+  }
+}
+
+TEST(Error, CheckInLambdaStreamsCapturedLocals) {
+  const std::string name = "ledger";
+  const int slots = 4;
+  auto check = [name, &slots](int want) {
+    VMLP_CHECK_MSG(want <= slots, name << " has " << slots << " slots, asked " << want);
+    VMLP_CHECK(want >= 0);
+  };
+  EXPECT_NO_THROW(check(4));
+  try {
+    check(9);
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("ledger has 4 slots, asked 9"), std::string::npos);
+  }
+  EXPECT_THROW(check(-1), InvariantError);
+}
 
 TEST(Config, ParseBasic) {
   const auto cfg = Config::parse("a = 1\nb = hello\n# comment\n; also comment\n");
