@@ -130,21 +130,6 @@ void BM_LedgerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerChurn);
 
-void BM_LedgerEarliestFit(benchmark::State& state) {
-  cluster::ReservationLedger ledger({4000, 16384, 1000});
-  Rng rng(8);
-  for (int i = 0; i < 256; ++i) {
-    const SimTime t0 = rng.uniform_int(0, 100000);
-    ledger.reserve(t0, t0 + rng.uniform_int(1000, 30000), {700, 256, 50});
-  }
-  for (auto _ : state) {
-    const SimTime from = rng.uniform_int(0, 100000);
-    benchmark::DoNotOptimize(
-        ledger.earliest_fit(from, 5000, {2000, 512, 100}, /*horizon=*/200000));
-  }
-}
-BENCHMARK(BM_LedgerEarliestFit);
-
 void BM_RngLognormal(benchmark::State& state) {
   Rng rng(3);
   for (auto _ : state) {

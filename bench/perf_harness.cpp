@@ -19,9 +19,7 @@
 //                    (tools/bench_compare.py --floor) refuses to enforce
 //                    speedup floors against a noisy run.
 //   4. sched.*     — admission throughput on a contended 100-machine fig13
-//                    cell: placements/sec with the admission fast path (the
-//                    regression-gated metric) and with the fast path off,
-//                    cross-checked to be decision-identical.
+//                    cell: placements/sec (the regression-gated metric).
 //   5. obs.*       — telemetry-collection overhead: engine cascade and a
 //                    fig13 scenario with the collector on vs off, reported
 //                    as on/off throughput ratios, plus the same scenario
@@ -379,56 +377,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4. Admission fast path vs the fast-path-off reference on a contended cell.
-  // Same simulation both ways — the modes are byte-identical in decisions
-  // (determinism_check claim 5), so placements cancel out. The denominator
-  // is RunResult::policy_seconds — host time spent inside scheduler
-  // callbacks (admission, planning, ledger bookings) — not the whole-run
-  // wall clock: the execution model / event engine / tracing form a fixed
-  // floor identical in both modes that would otherwise drown the admission
-  // machinery this metric exists to track.
+  // 4. Admission throughput on a contended cell. The denominator is
+  // RunResult::policy_seconds — host time spent inside scheduler callbacks
+  // (admission, planning, ledger bookings) — not the whole-run wall clock:
+  // the execution model / event engine / tracing form a fixed floor that
+  // would otherwise drown the admission machinery this metric exists to
+  // track.
   if (family_on("sched")) {
-  std::fprintf(stderr, "sched placement benchmark (fast path)...\n");
+  std::fprintf(stderr, "sched placement benchmark...\n");
   vmlp::exp::ExperimentConfig sched_config = vmlp::bench::perf_scenario_config(
       vmlp::exp::SchemeKind::kVmlp, vmlp::loadgen::PatternKind::kL2Fluctuating,
       vmlp::exp::StreamKind::kHighVr);
   // Scale the offered load so the cell is actually contended (util ~0.46,
   // first probes mostly fail). At the stock rate admission trivially accepts
-  // on the first probe in both modes and the ratio measures nothing; much
-  // beyond ~1.5x the planner degenerates into an organize-retry storm that
-  // makes the benchmark unusably slow.
+  // on the first probe; much beyond ~1.5x the planner degenerates into an
+  // organize-retry storm that makes the benchmark unusably slow.
   constexpr double kContentionMult = 1.25;
   sched_config.pattern_params.max_rate *= kContentionMult;
   sched_config.pattern_params.base_rate *= kContentionMult;
   sched_config.pattern_params.l2_min_rate *= kContentionMult;
   sched_config.pattern_params.l2_max_step *= kContentionMult;
-  vmlp::exp::ExperimentConfig sched_reference = sched_config;
-  sched_reference.vmlp.admission_fast_path = false;
 
-  const auto fast_result = vmlp::exp::run_experiment(sched_config);
-  const double fast_sec = fast_result.run.policy_seconds;
-  std::fprintf(stderr, "sched placement benchmark (fast path off)...\n");
-  const auto ref_result = vmlp::exp::run_experiment(sched_reference);
-  const double ref_sec = ref_result.run.policy_seconds;
-
-  if (fast_result.run.placements != ref_result.run.placements ||
-      fast_result.run.completed != ref_result.run.completed) {
-    std::cerr << "FAIL: fast-path and reference runs diverged (placements "
-              << fast_result.run.placements << " vs " << ref_result.run.placements
-              << ", completed " << fast_result.run.completed << " vs "
-              << ref_result.run.completed << ") — the sched.* ratio would be meaningless\n";
+  const auto sched_result = vmlp::exp::run_experiment(sched_config);
+  const double sched_sec = sched_result.run.policy_seconds;
+  if (sched_sec <= 0) {
+    std::cerr << "FAIL: zero policy time recorded — the sched.* metric would be vacuous\n";
     return 1;
   }
-  if (fast_sec <= 0 || ref_sec <= 0) {
-    std::cerr << "FAIL: zero policy time recorded — the sched.* metrics would be vacuous\n";
-    return 1;
-  }
-  const double placements = static_cast<double>(fast_result.run.placements);
-  metrics.emplace_back("sched.placements_per_sec", placements / fast_sec);
-  metrics.emplace_back("sched.reference_placements_per_sec", placements / ref_sec);
-  metrics.emplace_back("sched.fast_path_speedup", ref_sec / fast_sec);
-  std::fprintf(stderr, "  %.0f placements/sec fast, %.0f reference (%.2fx)\n",
-               placements / fast_sec, placements / ref_sec, ref_sec / fast_sec);
+  const double placements = static_cast<double>(sched_result.run.placements);
+  metrics.emplace_back("sched.placements_per_sec", placements / sched_sec);
+  std::fprintf(stderr, "  %.0f placements/sec\n", placements / sched_sec);
   }
 
   // 5. Telemetry-collection overhead (obs_overhead family). Each leg reports

@@ -1,7 +1,6 @@
 #include "cluster/reservation.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/audit.h"
 #include "common/error.h"
@@ -20,8 +19,6 @@ bool nearly_equal(const ResourceVector& a, const ResourceVector& b) {
 /// dwarfs multiplication rounding, so the scalar path can only accept
 /// demands the exact vector compare would also accept — never the reverse.
 constexpr double kHeadroomSafety = 1e-9;
-
-constexpr std::size_t kNoSegment = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 
@@ -259,25 +256,6 @@ ResourceVector ReservationLedger::max_usage(SimTime t0, SimTime t1) const {
   return m;
 }
 
-ResourceVector ReservationLedger::min_usage(SimTime t0, SimTime t1) const {
-  VMLP_CHECK_MSG(t0 < t1, "empty query window");
-  ensure_index();
-  const std::size_t lo = covering_index(t0);
-  ResourceVector m = segs_[lo].level;
-  std::size_t i = lo;
-  while (i < segs_.size() && segs_[i].start < t1) {
-    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-        segs_[i + kBlockSize - 1].start < t1) {
-      m = m.min(block_min_[i >> kBlockShift]);
-      i += kBlockSize;
-    } else {
-      m = m.min(segs_[i].level);
-      ++i;
-    }
-  }
-  return m;
-}
-
 bool ReservationLedger::span_could_fit(SimTime t0, SimTime t1, const ResourceVector& r,
                                        std::size_t* cover_hint) const {
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
@@ -311,7 +289,7 @@ ResourceVector ReservationLedger::available(SimTime t0, SimTime t1) const {
 }
 
 bool ReservationLedger::fits(SimTime t0, SimTime t1, const ResourceVector& r,
-                             std::size_t* cover_hint, SimTime* refit_out) const {
+                             std::size_t* cover_hint) const {
   if (obs_ != nullptr) obs_->count(obs_->ledger().fits_queried);
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
   ensure_index();
@@ -326,78 +304,14 @@ bool ReservationLedger::fits(SimTime t0, SimTime t1, const ResourceVector& r,
     if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
         segs_[i + kBlockSize - 1].start < t1) {
       // Whole block: the cached max decides for all 32 segments at once.
-      if (!(block_max_[i >> kBlockShift] + r).fits_within(capacity_)) {
-        // The block's max blocks, so the argmax segment inside blocks too;
-        // descend to the first one only when the caller wants the bound.
-        if (refit_out != nullptr) {
-          while (!segment_blocks(segs_[i], r, frac)) ++i;
-          *refit_out = blocking_run_end(i, r, frac);
-        }
-        return false;
-      }
+      if (!(block_max_[i >> kBlockShift] + r).fits_within(capacity_)) return false;
       i += kBlockSize;
     } else {
-      if (segment_blocks(segs_[i], r, frac)) {
-        if (refit_out != nullptr) *refit_out = blocking_run_end(i, r, frac);
-        return false;
-      }
+      if (segment_blocks(segs_[i], r, frac)) return false;
       ++i;
     }
   }
   return true;
-}
-
-SimTime ReservationLedger::blocking_run_end(std::size_t first_blocking, const ResourceVector& r,
-                                            double frac) const {
-  std::size_t j = first_blocking;
-  while (j + 1 < segs_.size() && segment_blocks(segs_[j + 1], r, frac)) ++j;
-  return j + 1 < segs_.size() ? segs_[j + 1].start : kTimeInfinity;
-}
-
-SimTime ReservationLedger::earliest_fit(SimTime from, SimDuration duration,
-                                        const ResourceVector& r, SimTime horizon,
-                                        std::size_t* probes_out) const {
-  VMLP_CHECK(duration > 0);
-  std::size_t probes = 0;
-  ensure_index();
-  const double frac = demand_fraction(r);
-  SimTime t = from;
-  SimTime found = kTimeInfinity;
-  while (t <= horizon) {
-    ++probes;
-    const std::size_t lo = covering_index(t);
-    const std::size_t hi = lower_index(t + duration);
-    // Find the LAST blocking segment in [lo, hi): jumping past it (and the
-    // run of blocking segments that follows) skips every candidate start
-    // that provably fails — any earlier start still overlaps the blocker.
-    std::size_t blocker = kNoSegment;
-    std::size_t i = hi;
-    while (i > lo) {
-      --i;
-      // Whole clean block: skip 32 segments via the cached max.
-      if (((i + 1) & (kBlockSize - 1)) == 0 && i + 1 >= kBlockSize &&
-          i + 1 - kBlockSize >= lo &&
-          (block_max_[i >> kBlockShift] + r).fits_within(capacity_)) {
-        i -= kBlockSize - 1;
-        continue;
-      }
-      if (segment_blocks(segs_[i], r, frac)) {
-        blocker = i;
-        break;
-      }
-    }
-    if (blocker == kNoSegment) {
-      found = t;
-      break;
-    }
-    std::size_t j = blocker;
-    while (j + 1 < segs_.size() && segment_blocks(segs_[j + 1], r, frac)) ++j;
-    if (j + 1 == segs_.size()) break;  // blocked through the infinite tail
-    t = segs_[j + 1].start;
-  }
-  if (obs_ != nullptr) obs_->count(obs_->ledger().probes_walked, probes);
-  if (probes_out != nullptr) *probes_out = probes;
-  return found;
 }
 
 void ReservationLedger::audit_invariants() const {

@@ -13,9 +13,9 @@
 // tightest remaining-capacity fraction across resource dimensions), and a
 // lazily rebuilt coarse index stores per-32-segment-block component-wise
 // max/min levels plus the whole-profile peak. `fits` / `max_usage` /
-// `min_usage` / `span_could_fit` then answer by walking blocks instead of
-// every segment in the window, and an uncontended window is accepted from the
-// cached peak alone. A std::map reference implementation lives in
+// `span_could_fit` then answer by walking blocks instead of every segment in
+// the window, and an uncontended window is accepted from the cached peak
+// alone. A std::map reference implementation lives in
 // tests/map_ledger.h; the differential fuzz holds every query here
 // bit-identical to it.
 #pragma once
@@ -56,17 +56,17 @@ class ReservationLedger {
   [[nodiscard]] ResourceVector usage_at(SimTime t) const;
   /// Component-wise max usage over [t0, t1).
   [[nodiscard]] ResourceVector max_usage(SimTime t0, SimTime t1) const;
-  /// Component-wise min usage over [t0, t1) — the *best* level the window
-  /// ever reaches. Admission quick-rejects use it: if demand does not fit
-  /// even against the window minimum, no start inside the window can admit.
-  [[nodiscard]] ResourceVector min_usage(SimTime t0, SimTime t1) const;
-  /// Exactly `(min_usage(t0, t1) + r).fits_within(capacity())`, but with an
-  /// early exit: the running min only decreases as segments fold in and
-  /// double addition is monotone per component, so the first partial min
-  /// that admits the demand already decides the answer. Admission probe
-  /// pruning calls this on every contended machine; the common "machine is
-  /// probeable" verdict usually resolves within a segment or two instead of
-  /// walking the whole multi-step span.
+  /// Does `r` fit atop the *quietest* level the window [t0, t1) reaches,
+  /// i.e. `(m + r).fits_within(capacity())` for m the component-wise min
+  /// usage over the window? Admission classification uses it: if the demand
+  /// does not fit even against the window minimum, no start inside the
+  /// window can admit. The fold has an early exit: the running min only
+  /// decreases as segments fold in and double addition is monotone per
+  /// component, so the first partial min that admits the demand already
+  /// decides the answer. Admission probe pruning calls this on every
+  /// contended machine; the common "machine is probeable" verdict usually
+  /// resolves within a segment or two instead of walking the whole
+  /// multi-step span.
   /// `cover_hint` (optional): caller-held covering-index cache for repeated
   /// queries with nearby window starts. Any value is accepted — a hint that
   /// no longer names a segment starting at or before t0 in the *current*
@@ -82,25 +82,8 @@ class ReservationLedger {
   [[nodiscard]] ResourceVector available(SimTime t0, SimTime t1) const;
   /// Algorithm 1's admission test: does `r` fit within spare capacity over
   /// the whole window [t0, t1)? `cover_hint`: see span_could_fit.
-  /// `refit_out` (optional): when the test fails, receives the start of the
-  /// first segment after the maximal run of blocking segments containing the
-  /// first blocker found (kTimeInfinity when the run reaches the profile
-  /// tail) — the same skip bound earliest_fit uses. Any window of
-  /// the same demand and duration starting at or after t0 but before that
-  /// bound still overlaps the run and provably fails, so the admission probe
-  /// loop can discard those slip steps without re-walking the ledger. Left
-  /// untouched when the test passes.
   [[nodiscard]] bool fits(SimTime t0, SimTime t1, const ResourceVector& r,
-                          std::size_t* cover_hint = nullptr, SimTime* refit_out = nullptr) const;
-
-  /// First time >= `from` at which `r` fits for `duration`, searching segment
-  /// boundaries up to `horizon`. Returns kTimeInfinity if none. Each failed
-  /// probe skips directly past the maximal run of blocking segments instead
-  /// of advancing one boundary at a time. `probes_out`, when non-null,
-  /// receives the number of candidate start times evaluated — the
-  /// probe-count regression tests pin the skipping.
-  [[nodiscard]] SimTime earliest_fit(SimTime from, SimDuration duration, const ResourceVector& r,
-                                     SimTime horizon, std::size_t* probes_out = nullptr) const;
+                          std::size_t* cover_hint = nullptr) const;
 
   /// Drop profile detail before `t` (memory bound for long runs). The level
   /// at `t` is preserved.
@@ -139,7 +122,7 @@ class ReservationLedger {
   }
 
   /// Attach (or detach with nullptr) a telemetry collector. Write-only:
-  /// recorded hint-hit/probe/booking counts never feed back into any query
+  /// recorded hint-hit/query/booking counts never feed back into any query
   /// result, so observed and unobserved ledgers answer identically.
   void set_observer(obs::Collector* obs) { obs_ = obs; }
 
@@ -182,11 +165,6 @@ class ReservationLedger {
   void ensure_index() const;
   [[nodiscard]] bool segment_blocks(const Segment& s, const ResourceVector& r,
                                     double frac) const;
-  /// Start of the first segment after the maximal run of blocking segments
-  /// beginning at `first_blocking` (kTimeInfinity when the run reaches the
-  /// profile tail). The fits() refit bound — see refit_out.
-  [[nodiscard]] SimTime blocking_run_end(std::size_t first_blocking, const ResourceVector& r,
-                                         double frac) const;
 
   ResourceVector capacity_;
   /// Component-wise 1/capacity (0 where capacity is 0) for headroom math.

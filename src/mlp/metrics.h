@@ -38,18 +38,18 @@ struct VmlpParams {
   bool volatility_aware = true;   ///< false: every request uses the mean Δt
   bool enable_delay_slot = true;
   bool enable_resource_stretch = true;
-  /// Admission fast path: per-organize memoization of slack/busy estimates
-  /// and guaranteed-fail probe pruning in admit_stage. Decision-identical to
-  /// the slow path (prunes only probes that would have failed, recomputation
-  /// yields bit-equal values); false = the pre-fast-path reference mode used
-  /// by determinism_check claim 5 and the sched.* reference benchmark.
-  bool admission_fast_path = true;
   /// Cell router: admit_stage probes machines cell by cell in the cluster
-  /// topology's ranked order (least-loaded first), shedding to the next cell
-  /// when one has no probeable machine, instead of scanning the flat machine
-  /// range. On a single-cell topology the router arithmetic degenerates to
-  /// the flat scan bit-exactly; false = the pre-topology reference loop used
-  /// by determinism_check claim 7.
+  /// topology's ranked order (least-loaded first) instead of scanning the
+  /// flat machine range. Two more policies apply on a multi-cell topology:
+  ///  * headroom-index jump — each cell's scan starts at the first machine
+  ///    the cell's headroom summary guarantees can host the demand at every
+  ///    time, not at the cell's rotating cursor;
+  ///  * cell shed — a slip pass that finds no probeable machine (every up
+  ///    machine classified as unable to admit the stage) leaves the cell for
+  ///    the next ranked one, saving the rest of the probe budget for it.
+  /// On a single-cell topology the router arithmetic degenerates to the flat
+  /// scan bit-exactly; false = the pre-topology reference loop used by
+  /// determinism_check claim 7.
   bool cell_router = true;
   /// Cells visited per admission stage before giving up (the shed budget).
   /// Bounds admission work by O(router_max_cells × cell size) instead of

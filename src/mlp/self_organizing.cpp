@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/audit.h"
 #include "common/error.h"
@@ -73,9 +72,9 @@ cluster::ResourceVector SelfOrganizing::Overlay::max_over(MachineId m, SimTime t
 
 bool SelfOrganizing::fits_with_overlay(const Overlay& overlay, MachineId m, SimTime t0, SimTime t1,
                                        const cluster::ResourceVector& r,
-                                       std::size_t* cover_hint, SimTime* refit_out) const {
+                                       std::size_t* cover_hint) const {
   const auto& ledger = iface_->cluster().machine(m).ledger();
-  if (overlay.buckets.empty()) return ledger.fits(t0, t1, r, cover_hint, refit_out);
+  if (overlay.buckets.empty()) return ledger.fits(t0, t1, r, cover_hint);
   return ledger.fits(t0, t1, r + overlay.max_over(m, t0, t1), cover_hint);
 }
 
@@ -119,9 +118,8 @@ double SelfOrganizing::reorder_ratio_of(RequestId id) {
   return reorder_ratio(v_r, type.slo(), waited, dt0, ref_stage_time());
 }
 
-SelfOrganizing::PlanContext::NodeEst SelfOrganizing::compute_est(const app::RequestType& type,
-                                                                 std::size_t node, double v_r,
-                                                                 double x) const {
+SelfOrganizing::NodeEst SelfOrganizing::compute_est(const app::RequestType& type, std::size_t node,
+                                                    double v_r, double x) const {
   const auto& req_node = type.nodes()[node];
   const auto& svc = iface_->application().service(req_node.service);
   const auto fallback = static_cast<SimDuration>(
@@ -129,7 +127,7 @@ SelfOrganizing::PlanContext::NodeEst SelfOrganizing::compute_est(const app::Requ
   // Δt (band-conservative) aligns successors; the ledger books only the
   // *expected* busy time — reserving worst-case windows would halve the
   // cluster's effective capacity for volatile streams.
-  PlanContext::NodeEst est;
+  NodeEst est;
   est.slack =
       estimate_slack(iface_->profiles(), req_node.service, type.id(), v_r, x, fallback, params_);
   est.busy = std::max<SimDuration>(
@@ -137,19 +135,11 @@ SelfOrganizing::PlanContext::NodeEst SelfOrganizing::compute_est(const app::Requ
   return est;
 }
 
-const SelfOrganizing::PlanContext::NodeEst& SelfOrganizing::node_est(
-    PlanContext& ctx, const sched::ActiveRequest& ar, std::size_t node) const {
-  auto& slot = ctx.est[node];
-  if (!slot.has_value()) slot = compute_est(ar.runtime.type(), node, ctx.v_r, ctx.x);
-  return *slot;
-}
-
 SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequest& ar) {
   const auto& type = ar.runtime.type();
   PlanContext ctx;
   ctx.v_r = iface_->volatility(type.id());
   ctx.x = x_percent(ctx.v_r, type.slo(), max_slo());
-  ctx.est.assign(type.size(), std::nullopt);
   ctx.seed_finish.assign(type.size(), -1);
   ctx.seed_machine.assign(type.size(), MachineId());
 
@@ -162,7 +152,8 @@ SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequ
       ctx.seed_finish[i] = rn.finished_at;
       ctx.seed_machine[i] = dn.machine;
     } else if (dn.running) {
-      ctx.seed_finish[i] = std::max(now + kMsec, rn.started_at + node_est(ctx, ar, i).slack);
+      ctx.seed_finish[i] =
+          std::max(now + kMsec, rn.started_at + compute_est(type, i, ctx.v_r, ctx.x).slack);
       ctx.seed_machine[i] = dn.machine;
     } else if (dn.placed) {
       ctx.seed_finish[i] = std::max(dn.planned_start, now) + dn.reserve_duration;
@@ -226,33 +217,26 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
   const SimDuration step =
       std::max<SimDuration>(1, params_.plan_search_window /
                                    static_cast<SimDuration>(params_.plan_search_steps));
-  const bool fast = params_.admission_fast_path;
 
-  // Desired starts depend only on the machine (expected_comm is a pure
-  // function of topology distance), so one computation per machine serves
-  // every slip step k. probe_state_ classifies each machine on first touch:
-  // 0 = untouched, 1 = must probe, 2 = every probe this stage is guaranteed
-  // to fail (see quick-rejects below).
-  if (fast) {
-    // O(1) stage setup: entries are invalidated by bumping the stage epoch,
-    // never by clearing the vectors (see the probe_epoch_ declaration — an
-    // eager O(machines) assign() per stage is the latent cost that
-    // re-couples placements/sec to cluster size). probe_one initializes a
-    // machine's state/refit on first touch of the stage.
-    ++stage_epoch_;
-    if (probe_state_.size() < n_machines) {
-      probe_state_.resize(n_machines, 0);
-      probe_epoch_.resize(n_machines, 0);  // 0 != any stage_epoch_ (it starts at 1)
-      probe_refit_.resize(n_machines, std::numeric_limits<SimTime>::min());
-      probe_desired_.resize(n_machines);
-    }
+  // probe_state_ classifies each machine on first touch: 0 = untouched,
+  // 1 = must probe, 2 = every probe this stage is guaranteed to fail (see
+  // the classification below). Stage setup is O(1): entries are invalidated
+  // by bumping the stage epoch, never by clearing the vectors (see the
+  // probe_epoch_ declaration — an eager O(machines) assign() per stage is
+  // the latent cost that re-couples placements/sec to cluster size), and
+  // probe_one initializes a machine's state on first touch of the stage.
+  ++stage_epoch_;
+  if (probe_state_.size() < n_machines) {
+    probe_state_.resize(n_machines, 0);
+    probe_epoch_.resize(n_machines, 0);  // 0 != any stage_epoch_ (it starts at 1)
     // Covering-index hints survive across stages: the ledger validates them
-    // against its current profile, and consecutive stages probe each machine
-    // at nearby times. Refit bounds do not — they encode this stage's demand
-    // and duration.
-    if (probe_cover_.size() < n_machines) probe_cover_.resize(n_machines, cluster::kNoCoverHint);
+    // against its current profile, and consecutive stages probe each
+    // machine at nearby times.
+    probe_cover_.resize(n_machines, cluster::kNoCoverHint);
   }
 
+  // A machine's desired start: the same for every slip step k of the stage
+  // (expected_comm is a pure function of topology distance).
   auto desired_for = [&](MachineId m) {
     SimTime desired = now;
     if (parent_finish.empty()) {
@@ -268,62 +252,55 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     return desired;
   };
 
+  // Audit-only exact test of a window the classification pruned. It uses
+  // max_usage, which records no telemetry, so audit on/off leaves the
+  // ledger.* counters unchanged; a state-2 machine already took a fits()
+  // probe this stage, so the index it reads is current.
+  auto window_fits = [&](MachineId m, SimTime start) {
+    const auto& machine = iface_->cluster().machine(m);
+    return (machine.ledger().max_usage(start, start + slack) +
+            (demand + overlay.max_over(m, start, start + slack)))
+        .fits_within(machine.capacity());
+  };
+
   std::size_t& probes = probes_out;
   std::size_t& pruned = pruned_out;
 
   // One (machine, slip step) probe — the body shared verbatim by the flat
-  // reference scan and the cell-router scan below, so the two orderings can
-  // never drift in per-probe behaviour. kFit leaves the accepted pair in
-  // `result` (cursor bookkeeping is the caller's: flat and cell cursors
-  // update differently); kNoFit may mark the pass probeable; kBudget means
-  // the stage's probe budget is spent.
+  // scan and the cell-router scan below, so the two orderings can never
+  // drift in per-probe behaviour. kFit leaves the accepted pair in `result`
+  // (cursor bookkeeping is the caller's: flat and cell cursors update
+  // differently); kNoFit may mark the pass probeable; kBudget means the
+  // stage's probe budget is spent.
   enum class Probe { kFit, kNoFit, kBudget };
   std::optional<std::pair<MachineId, SimTime>> result;
   auto probe_one = [&](MachineId m, std::size_t k, bool& any_probeable) {
     // Pruned probes still consume budget: which probe exhausts
-    // max_admit_probes must not depend on the fast path.
+    // max_admit_probes does not depend on how many probes were pruned.
     if (++probes > params_.max_admit_probes) return Probe::kBudget;
     if (!iface_->cluster().machine(m).up()) return Probe::kNoFit;  // crash window
-    SimTime desired = 0;
-    std::int8_t* state = nullptr;
-    if (fast) {
-      if (probe_epoch_[m.value()] != stage_epoch_) {
-        // First touch this stage: lazily reset what the eager per-stage
-        // clear used to write for every machine.
-        probe_epoch_[m.value()] = stage_epoch_;
-        probe_state_[m.value()] = 0;
-        probe_refit_[m.value()] = std::numeric_limits<SimTime>::min();
-      }
-      state = &probe_state_[m.value()];
-      if (*state == 2) {
-        ++pruned;
-        return Probe::kNoFit;  // counted, and provably would have failed
-      }
-      if (*state == 0) {
-        desired = desired_for(m);
-        probe_desired_[m.value()] = desired;
-      } else {
-        desired = probe_desired_[m.value()];
-      }
-    } else {
-      desired = desired_for(m);
+    if (probe_epoch_[m.value()] != stage_epoch_) {
+      // First touch this stage: lazily reset what an eager per-stage clear
+      // would write for every machine.
+      probe_epoch_[m.value()] = stage_epoch_;
+      probe_state_[m.value()] = 0;
     }
-    const SimTime start = desired + static_cast<SimDuration>(k) * step;
-    if (fast && start < probe_refit_[m.value()]) {
-      // The window still overlaps the blocking run an earlier probe of
-      // this machine hit, so it provably fails (the run's bound holds for
-      // every later-starting window of the same demand and duration).
-      any_probeable = true;  // later slip steps may clear the run
+    std::int8_t& state = probe_state_[m.value()];
+    if (state == 2) {
       ++pruned;
-      return Probe::kNoFit;
+      VMLP_AUDIT_ASSERT(!window_fits(m, desired_for(m) + static_cast<SimDuration>(k) * step),
+                        "pruned probe on machine " << m.value() << " at slip step " << k
+                                                   << " would have fit");
+      return Probe::kNoFit;  // counted, and provably would have failed
     }
-    std::size_t* cover = fast ? &probe_cover_[m.value()] : nullptr;
-    SimTime* refit = fast ? &probe_refit_[m.value()] : nullptr;
-    if (fits_with_overlay(overlay, m, start, start + slack, demand, cover, refit)) {
+    const SimTime desired = desired_for(m);
+    const SimTime start = desired + static_cast<SimDuration>(k) * step;
+    std::size_t* cover = &probe_cover_[m.value()];
+    if (fits_with_overlay(overlay, m, start, start + slack, demand, cover)) {
       result = std::make_pair(m, start);
       return Probe::kFit;
     }
-    if (state != nullptr && *state == 0) {
+    if (state == 0) {
       // First failed probe on this machine: classify it so the slip loop
       // does not keep paying for probes that provably fail. Classification
       // is deferred until a failure because a machine whose first probe
@@ -332,7 +309,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
       if (!demand.fits_within(machine.capacity())) {
         // The bare capacity can never hold the demand; any non-negative
         // ledger level or overlay only raises the tested usage.
-        *state = 2;
+        state = 2;
       } else {
         // Every start this stage can probe lies in
         // [desired, desired + steps·step], so every probed window is a
@@ -347,10 +324,10 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
         // The span starts at `desired` == this k=0 probe's start, so the
         // hint the failed probe just stored is already the span's
         // covering index.
-        *state = machine.ledger().span_could_fit(desired, span_end, demand, cover) ? 1 : 2;
+        state = machine.ledger().span_could_fit(desired, span_end, demand, cover) ? 1 : 2;
       }
     }
-    if (state == nullptr || *state != 2) any_probeable = true;
+    if (state != 2) any_probeable = true;
     return Probe::kNoFit;
   };
 
@@ -359,10 +336,11 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     for (std::size_t k = 0; k <= params_.plan_search_steps; ++k) {
       // Tracks whether this pass met any machine that could still admit. Once
       // every up machine is classified 2 (guaranteed fail), the remaining slip
-      // passes only tick the probe counter — no probe can succeed, no cursor
-      // move, and the stage ends in std::nullopt either way — so the fast path
-      // returns that verdict immediately. Machines cannot change state while a
-      // stage runs (the simulation does not advance inside admit_stage).
+      // passes could only tick the probe counter — no probe can succeed, no
+      // cursor moves, and the stage ends in std::nullopt either way — so the
+      // stage returns that verdict immediately. Machines cannot change state
+      // while a stage runs (the simulation does not advance inside
+      // admit_stage).
       bool any_probeable = false;
       for (std::size_t j = 0; j < n_machines; ++j) {
         const MachineId m(static_cast<std::uint32_t>((cursor_ + j) % n_machines));
@@ -376,7 +354,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
             break;
         }
       }
-      if (fast && !any_probeable) return std::nullopt;
+      if (!any_probeable) return std::nullopt;
     }
     return std::nullopt;
   }
@@ -401,16 +379,16 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
     const std::size_t begin = cells.cell_begin(cell);
     const std::size_t size = cells.cell_size(cell);
     std::size_t& cursor = cell_cursor_[cell];
-    // Headroom-index jump (multi-cell only — a single cell must stay
-    // bit-exact to the flat scan): rotate the scan base to the first machine
-    // the per-32-machine summary guarantees can host the demand at every
-    // time (a block-pruned linear scan of the cell's cached free fractions
-    // — see CellTopology::first_fit_candidate). Typically its j = 0 probe
-    // admits immediately; if a plan overlay blocks it, the scan continues
-    // from there — same coverage, rotated order, still a pure function of
-    // simulation state.
+    // Headroom-index jump (router policy, multi-cell only — a single cell
+    // must stay bit-exact to the flat scan): rotate the scan base to the
+    // first machine the per-32-machine summary guarantees can host the
+    // demand at every time (a block-pruned linear scan of the cell's cached
+    // free fractions — see CellTopology::first_fit_candidate). Typically its
+    // j = 0 probe admits immediately; if a plan overlay blocks it, the scan
+    // continues from there — same coverage, rotated order, still a pure
+    // function of simulation state.
     std::size_t base = cursor;
-    if (fast && n_cells > 1) {
+    if (n_cells > 1) {
       const double frac = clstr.machine(MachineId(static_cast<std::uint32_t>(begin)))
                               .ledger()
                               .demand_fraction_of(demand);
@@ -420,7 +398,9 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
         if (obs != nullptr) obs->count(obs->topology().index_jumps);
       }
     }
-    bool shed = false;  // fast path: cell has no probeable machine left
+    // Cell shed (router policy): a slip pass that finds no probeable
+    // machine ends this cell's scan and moves on to the next ranked cell.
+    bool shed = false;
     for (std::size_t k = 0; k <= params_.plan_search_steps && !shed; ++k) {
       bool any_probeable = false;  // see the flat scan's comment
       for (std::size_t j = 0; j < size; ++j) {
@@ -435,7 +415,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
             break;
         }
       }
-      if (fast && !any_probeable) shed = true;
+      shed = !any_probeable;
     }
     if (obs != nullptr && n_cells > 1 && ci + 1 < visit) {
       obs->count(obs->topology().cells_shed);
@@ -445,7 +425,7 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
 }
 
 std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
-    sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, PlanContext& ctx) {
+    sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, const PlanContext& ctx) {
   const auto& type = ar.runtime.type();
   const auto& application = iface_->application();
 
@@ -460,7 +440,7 @@ std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
 
     const auto& req_node = type.nodes()[node];
     const auto& svc = application.service(req_node.service);
-    const PlanContext::NodeEst est = node_est(ctx, ar, node);
+    const NodeEst est = compute_est(type, node, ctx.v_r, ctx.x);
 
     std::vector<SimTime> pf;
     std::vector<MachineId> pm;
@@ -494,9 +474,6 @@ bool SelfOrganizing::organize(RequestId id) {
   std::size_t failed = 0;
   for (const auto& chain : chains) {
     if (failed >= params_.max_failed_chains) break;  // saturated; retrying costs more than it buys
-    // Reference mode pays the pre-fast-path cost of re-deriving every
-    // estimate per chain attempt; the values are bit-equal either way.
-    if (!params_.admission_fast_path) ctx = make_context(*ar);
     auto plans = try_chain(*ar, chain, ctx);
     if (!plans.has_value()) {
       ++failed;

@@ -85,66 +85,59 @@ class SelfOrganizing {
     [[nodiscard]] cluster::ResourceVector max_over(MachineId m, SimTime t0, SimTime t1) const;
   };
 
-  /// Per-organize() memoized planning inputs. Algorithm 1's per-node slack
-  /// Δt, expected busy time and the finish-time predictions seeded from
-  /// already-progressed nodes are invariant across the up-to
-  /// `max_chain_choices` chain attempts of one organize call (profiles only
-  /// record at execution time, and nothing commits until a chain succeeds),
-  /// so recomputing them per chain — the pre-fast-path behaviour — yields
-  /// bit-equal values. With `admission_fast_path` off they are rebuilt per
-  /// chain as the differential reference.
+  /// Per-organize() planning inputs shared by the up-to `max_chain_choices`
+  /// chain attempts of one organize call: the request's volatility, its x
+  /// and the finish-time predictions seeded from already-progressed nodes.
+  /// None of them changes between attempts (profiles only record at
+  /// execution time, and nothing commits until a chain succeeds).
   struct PlanContext {
-    struct NodeEst {
-      SimDuration slack = 0;
-      SimDuration busy = 0;
-    };
     double v_r = 0.0;
     double x = 0.0;
-    std::vector<std::optional<NodeEst>> est;
     std::vector<SimTime> seed_finish;
     std::vector<MachineId> seed_machine;
   };
 
-  [[nodiscard]] PlanContext make_context(const sched::ActiveRequest& ar);
-  /// Slack/busy estimate for one node, computed on first use per context.
-  [[nodiscard]] const PlanContext::NodeEst& node_est(PlanContext& ctx,
-                                                     const sched::ActiveRequest& ar,
-                                                     std::size_t node) const;
-  [[nodiscard]] PlanContext::NodeEst compute_est(const app::RequestType& type, std::size_t node,
-                                                 double v_r, double x) const;
+  /// Algorithm 1's slack Δt and the expected busy time for one node.
+  struct NodeEst {
+    SimDuration slack = 0;
+    SimDuration busy = 0;
+  };
 
-  /// `refit_out` is forwarded to ReservationLedger::fits only on the bare
-  /// (overlay-free) path: a blocking-run bound derived with an
-  /// overlay-inflated demand would not be sound for later windows whose
-  /// overlay contribution is smaller.
+  [[nodiscard]] PlanContext make_context(const sched::ActiveRequest& ar);
+  [[nodiscard]] NodeEst compute_est(const app::RequestType& type, std::size_t node, double v_r,
+                                    double x) const;
+
+  /// ReservationLedger::fits with the plan's tentative reservations on `m`
+  /// added to the demand.
   [[nodiscard]] bool fits_with_overlay(const Overlay& overlay, MachineId m, SimTime t0, SimTime t1,
                                        const cluster::ResourceVector& r,
-                                       std::size_t* cover_hint = nullptr,
-                                       SimTime* refit_out = nullptr) const;
+                                       std::size_t* cover_hint = nullptr) const;
   /// Find (machine, start) for one stage; first-fit from a rotating cursor at
   /// the desired start, escalating through the slip window. nullopt = defer.
-  /// With `admission_fast_path`, machines whose capacity can never hold the
-  /// demand, or whose quietest ledger level across every start this stage
-  /// could probe already blocks it, are skipped after the first touch — the
-  /// skipped probes still count against `max_admit_probes` and are provably
-  /// ones that would have failed, so the accepted (machine, start) and the
-  /// cursor trajectory are identical to the exhaustive search.
+  /// Machines whose capacity can never hold the demand, or whose quietest
+  /// ledger level across every start this stage could probe already blocks
+  /// it, are classified on their first failed probe and skipped thereafter —
+  /// the skipped probes still count against `max_admit_probes` and are
+  /// provably ones that would have failed (audited), so the accepted
+  /// (machine, start) and the cursor trajectory are those of the exhaustive
+  /// search; a slip pass that finds no probeable machine ends the scan.
   /// With `cell_router`, the scan goes cell by cell in the topology's ranked
-  /// order (per-cell cursors, shed on a probeless pass); on a single-cell
-  /// topology the arithmetic degenerates bit-exactly to the flat scan.
+  /// order (per-cell cursors, headroom-index jump, shed on a probeless pass;
+  /// see VmlpParams::cell_router); on a single-cell topology the arithmetic
+  /// degenerates bit-exactly to the flat scan.
   [[nodiscard]] std::optional<std::pair<MachineId, SimTime>> admit_stage(
       const Overlay& overlay, const cluster::ResourceVector& demand, SimDuration slack,
       const std::vector<SimTime>& parent_finish, const std::vector<MachineId>& parent_machine);
   /// admit_stage's search loop; the public wrapper only adds telemetry.
   /// `probes_out` / `pruned_out` report the stage's probe budget spend and
-  /// how many of those probes were pruned (classified or refit-bound skips).
+  /// how many of those probes were pruned (skipped after classification).
   [[nodiscard]] std::optional<std::pair<MachineId, SimTime>> admit_stage_impl(
       const Overlay& overlay, const cluster::ResourceVector& demand, SimDuration slack,
       const std::vector<SimTime>& parent_finish, const std::vector<MachineId>& parent_machine,
       std::size_t& probes_out, std::size_t& pruned_out);
 
   [[nodiscard]] std::optional<std::vector<NodePlan>> try_chain(
-      sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, PlanContext& ctx);
+      sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, const PlanContext& ctx);
 
   [[nodiscard]] SimDuration max_slo() const;
   [[nodiscard]] SimDuration ref_stage_time() const;
@@ -178,22 +171,14 @@ class SelfOrganizing {
   // epoch matches the current stage's; probe_one initializes it on first
   // touch, so stage setup is O(1) and stage cost is O(machines probed).
   std::vector<std::int8_t> probe_state_;
-  std::vector<SimTime> probe_desired_;
-  /// Stage stamp per machine: entries of probe_state_/probe_refit_ (and
-  /// probe_desired_, which is only read once state != 0) are valid iff
+  /// Stage stamp per machine: an entry of probe_state_ is valid iff
   /// probe_epoch_[m] == stage_epoch_.
   std::vector<std::uint64_t> probe_epoch_;
   std::uint64_t stage_epoch_ = 0;
-  /// Per-machine ledger covering-index cache (kNoCoverHint = untouched).
-  /// Valid for one admit_stage call: the ledger is not mutated while a
-  /// stage probes, and each machine's probe starts only slip forward.
+  /// Per-machine ledger covering-index cache (kNoCoverHint = untouched),
+  /// carried across stages: the ledger validates a hint against its current
+  /// profile, so a stale one costs only the binary search it would skip.
   std::vector<std::size_t> probe_cover_;
-  /// Per-machine refit bound: after a failed probe, the end of the blocking
-  /// run it hit (ReservationLedger::fits refit_out). Later slip steps whose
-  /// start is still below the bound overlap the same run and provably fail,
-  /// so they are counted but not walked. Valid for one admit_stage call for
-  /// the same reasons as probe_cover_.
-  std::vector<SimTime> probe_refit_;
 };
 
 }  // namespace vmlp::mlp

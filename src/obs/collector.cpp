@@ -102,8 +102,6 @@ Collector::Collector(const Params& params) : params_(params), ring_(params.ring_
   ledger_.fits_queried = r.add_counter("ledger.fits_queried", "point-in-time fits() queries");
   ledger_.spans_tested =
       r.add_counter("ledger.spans_tested", "span_could_fit() window floor tests");
-  ledger_.probes_walked =
-      r.add_counter("ledger.probes_walked", "candidate start times walked by earliest_fit()");
   ledger_.hints_hit =
       r.add_counter("ledger.hints_hit", "covering-index lookups resolved from a hint");
   ledger_.hints_missed =
@@ -124,7 +122,7 @@ Collector::Collector(const Params& params) : params_(params), ring_(params.ring_
   mlp_.probes_spent =
       r.add_counter("mlp.probes_spent", "(machine, start) admission probes consumed");
   mlp_.probes_pruned =
-      r.add_counter("mlp.probes_pruned", "admission probes skipped by the fast path");
+      r.add_counter("mlp.probes_pruned", "admission probes skipped after classification");
   mlp_.slots_filled =
       r.add_counter("mlp.slots_filled", "delay-slot vacancies filled with early stages");
   mlp_.requests_filled =

@@ -95,8 +95,8 @@ class Collector {
     GaugeHandle windows_planned;
   };
   struct LedgerMetrics {
-    CounterHandle windows_reserved, windows_released, fits_queried, spans_tested,
-        probes_walked, hints_hit, hints_missed;
+    CounterHandle windows_reserved, windows_released, fits_queried, spans_tested, hints_hit,
+        hints_missed;
     GaugeHandle segments_peak;
   };
   struct MlpMetrics {

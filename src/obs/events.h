@@ -19,7 +19,7 @@ namespace vmlp::obs {
 
 enum class DecisionKind : std::uint8_t {
   kAdmitProbe = 0,    ///< one admission stage: detail = (machine,start) probes spent
-  kAdmitPrune,        ///< stage used the fast path: detail = probes pruned
+  kAdmitPrune,        ///< stage pruned probes: detail = probes pruned
   kAdmitHintHit,      ///< stage's ledger queries resolved via cover hints: detail = hits
   kCoalesce,          ///< a request's chain plan committed: detail = plan stage count
   kAlign,             ///< one stage aligned to its predecessor: detail = slack (us)

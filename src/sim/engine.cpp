@@ -116,7 +116,7 @@ void Engine::flush_observability() {
 EventHandle Engine::schedule_at(SimTime t, Callback fn) {
   VMLP_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t << " now=" << now_);
   VMLP_CHECK_MSG(static_cast<bool>(fn), "null event callback");
-  // A plan that propagated kTimeInfinity (e.g. a failed earliest_fit search)
+  // A plan that propagated kTimeInfinity (an unresolved "no fit" time)
   // must never reach the event queue — it would freeze simulated time at the
   // horizon with the event perpetually pending.
   VMLP_AUDIT_ASSERT(t < kTimeInfinity, "event scheduled at infinity (unresolved plan time)");

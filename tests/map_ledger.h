@@ -4,11 +4,9 @@
 // machine's future usage profile, kept as a differential oracle for the
 // indexed flat ledger. It maintains the same canonical segment profile and
 // performs the same floating-point arithmetic in the same order, so
-// usage_at / max_usage / min_usage / available / fits / span_could_fit /
-// earliest_fit must agree with the flat ledger bit for bit
-// (tests/test_reservation_fuzz.cpp). earliest_fit advances one profile
-// boundary per failed probe — the behaviour before run skipping — so its
-// probe count bounds the flat ledger's from above.
+// usage_at / max_usage / available / fits / span_could_fit must agree with
+// the flat ledger bit for bit (tests/test_reservation_fuzz.cpp); min_usage is
+// the window minimum span_could_fit's verdict is checked against.
 #pragma once
 
 #include <cstddef>
@@ -100,27 +98,6 @@ class MapLedger {
 
   [[nodiscard]] bool fits(SimTime t0, SimTime t1, const ResourceVector& r) const {
     return (max_usage(t0, t1) + r).fits_within(capacity_);
-  }
-
-  /// Candidate starts are `from`, then every profile boundary after the
-  /// current candidate — one boundary per failed probe.
-  [[nodiscard]] SimTime earliest_fit(SimTime from, SimDuration duration, const ResourceVector& r,
-                                     SimTime horizon, std::size_t* probes_out = nullptr) const {
-    VMLP_CHECK(duration > 0);
-    std::size_t probes = 0;
-    SimTime found = kTimeInfinity;
-    for (SimTime t = from; t <= horizon;) {
-      ++probes;
-      if (fits(t, t + duration, r)) {
-        found = t;
-        break;
-      }
-      auto it = profile_.upper_bound(t);
-      if (it == profile_.end()) break;  // constant level for the rest of time
-      t = it->first;
-    }
-    if (probes_out != nullptr) *probes_out = probes;
-    return found;
   }
 
   [[nodiscard]] std::size_t segment_count() const { return profile_.size(); }

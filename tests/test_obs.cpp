@@ -338,7 +338,19 @@ TEST(ObsCollector, RegistersAllFamiliesOnce) {
   const obs::Snapshot snap = collector.snapshot();
   for (const char* name :
        {"engine.events_executed", "driver.requests_arrived", "driver.latency_us",
-        "failure.nodes_orphaned", "ledger.probes_walked", "mlp.stages_coalesced"}) {
+        "failure.nodes_orphaned", "ledger.spans_tested", "mlp.stages_coalesced"}) {
+    EXPECT_NE(snap.find(name), nullptr) << name;
+  }
+  // The counters perfbench (perfbench/vmlp_perfbench.cpp kCounterNames)
+  // reads from every traced run; it exits when one is not registered.
+  for (const char* name :
+       {"engine.events_executed", "engine.events_rescheduled", "engine.events_cancelled",
+        "driver.placements_committed", "driver.starts_denied", "driver.lates_fired",
+        "failure.nodes_orphaned", "failure.retries_scheduled", "ledger.fits_queried",
+        "ledger.spans_tested", "ledger.windows_reserved", "ledger.windows_released",
+        "ledger.hints_hit", "ledger.hints_missed", "topology.stages_routed",
+        "topology.index_jumps", "mlp.organize_calls", "mlp.plans_committed",
+        "mlp.probes_spent", "mlp.probes_pruned", "mlp.orphans_relocated"}) {
     EXPECT_NE(snap.find(name), nullptr) << name;
   }
   // Attribution families: every band x (phase share + path stats).

@@ -126,32 +126,6 @@ TEST(Ledger, OverbookingIsLegalButVisible) {
   EXPECT_EQ(ledger.available(0, 100).cpu, 0.0);  // clamped, not negative
 }
 
-TEST(Ledger, EarliestFitImmediate) {
-  ReservationLedger ledger({10, 10, 10});
-  EXPECT_EQ(ledger.earliest_fit(5, 10, {10, 10, 10}, 1000), 5);
-}
-
-TEST(Ledger, EarliestFitAfterBusyWindow) {
-  ReservationLedger ledger({10, 10, 10});
-  ledger.reserve(0, 100, {8, 0, 0});
-  EXPECT_EQ(ledger.earliest_fit(0, 10, {4, 0, 0}, 1000), 100);
-}
-
-TEST(Ledger, EarliestFitBetweenWindows) {
-  ReservationLedger ledger({10, 10, 10});
-  ledger.reserve(0, 100, {8, 0, 0});
-  ledger.reserve(150, 250, {8, 0, 0});
-  EXPECT_EQ(ledger.earliest_fit(0, 50, {4, 0, 0}, 1000), 100);
-  // A 60-long window does not fit in the 50-wide gap.
-  EXPECT_EQ(ledger.earliest_fit(0, 60, {4, 0, 0}, 1000), 250);
-}
-
-TEST(Ledger, EarliestFitHorizonExhausted) {
-  ReservationLedger ledger({10, 10, 10});
-  ledger.reserve(0, 1000, {10, 0, 0});
-  EXPECT_EQ(ledger.earliest_fit(0, 10, {1, 0, 0}, 500), kTimeInfinity);
-}
-
 TEST(Ledger, CompactPreservesLevelAtPoint) {
   ReservationLedger ledger({10, 10, 10});
   ledger.reserve(0, 100, {2, 0, 0});

@@ -52,8 +52,6 @@ import sys
 from pathlib import Path
 
 # Metrics whose regression fails the job (substring match on the metric key).
-# Note sched.reference_placements_per_sec deliberately does NOT contain the
-# gated key: the fast-path-off reference is informational, not enforced.
 # scale.placements_per_sec gates the 1k-machine multi-cell leg (the `scale`
 # CI job); it is compared only when both runs carry it, so default harness
 # runs (which skip the opt-in scale family) are unaffected.

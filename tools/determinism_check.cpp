@@ -21,12 +21,15 @@
 //     schedule itself is a pure function of the seed — same seed, same
 //     windows; different seed, different windows.
 //
-//  5. The admission fast path is decision-invisible: v-MLP grids in the
+//  5. Admission probe pruning is sound and deterministic: v-MLP grids in the
 //     fig. 10 (L1 pulse, mixed stream) and fig. 13 (L2 fluctuating, high-V_r)
-//     shapes produce byte-identical metric streams with probe pruning +
-//     memoization enabled versus the fast path off, at 1, 4 and 8 pool
-//     threads. (The ledger's own block-index walks are held bit-identical
-//     to a std::map oracle by tests/test_reservation_fuzz.cpp.)
+//     shapes, on one cell and on two, run with the invariant auditor on —
+//     so every probe skipped after classification is re-tested against the
+//     exact window and must fail — and produce byte-identical metric
+//     streams at 1, 4 and 8 pool threads. A vacuity guard requires an
+//     instrumented 2-cell run to have pruned probes and routed stages.
+//     (The ledger's own block-index walks are held bit-identical to a
+//     std::map oracle by tests/test_reservation_fuzz.cpp.)
 //
 //  6. Telemetry collection is zero-perturbation: the claim-1 grid's trial
 //     summaries are byte-identical with the obs collector on versus off at
@@ -54,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "common/audit.h"
 #include "exp/experiment.h"
 #include "exp/trial_runner.h"
 #include "loadgen/patterns.h"
@@ -133,8 +137,11 @@ std::vector<exp::ExperimentConfig> make_failure_grid() {
 
 /// The claim-5 grids: v-MLP in the fig. 10 and fig. 13 report shapes (the two
 /// workload/stream combinations the paper's headline figures are built from),
-/// both seeds. `reference` switches the admission fast path off in every cell.
-std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
+/// both seeds, on a `cells`-cell topology. The offered load is twice the
+/// claim-1 grid's: at that grid's rates no fig. 13-shaped cell ever
+/// classifies a machine as unable to admit a stage, so probe pruning — and
+/// the audit of it — would never run.
+std::vector<exp::ExperimentConfig> make_admission_grid(std::size_t cells) {
   std::vector<exp::ExperimentConfig> grid;
   struct Shape {
     loadgen::PatternKind pattern;
@@ -151,10 +158,10 @@ std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
       c.driver.horizon = 4 * kSec;
       c.driver.cluster.machine_count = 10;
       c.driver.interference.enabled = true;
-      c.vmlp.admission_fast_path = !reference;
+      c.driver.cluster.topology.cells = cells;
       c.pattern_params.horizon = c.driver.horizon;
-      c.pattern_params.base_rate = 16.0;
-      c.pattern_params.max_rate = 48.0;
+      c.pattern_params.base_rate = 32.0;
+      c.pattern_params.max_rate = 96.0;
       c.pattern_params.peak_time = c.driver.horizon * 2 / 5;
       grid.push_back(c);
     }
@@ -166,11 +173,8 @@ std::vector<exp::ExperimentConfig> make_fastpath_grid(bool reference) {
 /// on or off. (router=false, cells=1) is the historical flat scan; the claim
 /// is that (router=true, cells=1) cannot be told apart from it.
 std::vector<exp::ExperimentConfig> make_topology_grid(bool router, std::size_t cells) {
-  auto grid = make_fastpath_grid(/*reference=*/false);
-  for (auto& c : grid) {
-    c.vmlp.cell_router = router;
-    c.driver.cluster.topology.cells = cells;
-  }
+  auto grid = make_admission_grid(cells);
+  for (auto& c : grid) c.vmlp.cell_router = router;
   return grid;
 }
 
@@ -383,51 +387,63 @@ int main() {
       std::cout << "OK: crash schedule is a pure function of the seed (" << sched_a.size()
                 << " windows)\n";
     }
-    // --- claim 5: the admission fast path is decision-invisible ------------
-    const auto fast_grid = make_fastpath_grid(/*reference=*/false);
-    const auto ref_grid = make_fastpath_grid(/*reference=*/true);
-    const int failures_before_fastpath = failures;
-    std::string fastpath_baseline;
-    for (const std::size_t threads : {1u, 4u, 8u}) {
-      std::cout << "running fast-path vs fast-path-off grids at " << threads
-                << " thread(s)..." << std::endl;
-      const std::string fast = run_grid_stream(fast_grid, threads);
-      const std::string reference = run_grid_stream(ref_grid, threads);
-      if (fast != reference) {
-        report_divergence("fast-path vs fast-path-off metric stream (" +
-                              std::to_string(threads) + " threads)",
-                          fast, reference);
+    // --- claim 5: admission probe pruning is sound and deterministic -------
+    const bool audit_before = audit::enabled();
+    audit::set_enabled(true);
+    const int failures_before_pruning = failures;
+    std::size_t pruning_bytes = 0;
+    for (const std::size_t cells : {1u, 2u}) {
+      const auto admission_grid = make_admission_grid(cells);
+      std::string baseline;
+      for (const std::size_t threads : {1u, 4u, 8u}) {
+        std::cout << "running audited " << cells << "-cell admission grid at " << threads
+                  << " thread(s)..." << std::endl;
+        const std::string stream = run_grid_stream(admission_grid, threads);
+        if (threads == 1) {
+          baseline = stream;
+        } else if (stream != baseline) {
+          report_divergence("audited " + std::to_string(cells) +
+                                "-cell admission metric stream (1 vs " +
+                                std::to_string(threads) + " threads)",
+                            baseline, stream);
+          ++failures;
+        }
+      }
+      pruning_bytes += baseline.size();
+      // Vacuity guards: the grids must actually admit work (a stream with
+      // zero placements compares equal for trivial reasons), and the two
+      // report shapes must genuinely differ.
+      if (baseline.find("placements=0 ") != std::string::npos) {
+        std::cerr << "FAIL: a " << cells << "-cell admission grid cell placed nothing — "
+                  << "claim 5 is vacuous\n";
         ++failures;
       }
-      if (threads == 1) {
-        fastpath_baseline = fast;
-      } else if (fast != fastpath_baseline) {
-        report_divergence("fast-path metric stream (1 vs " + std::to_string(threads) +
-                              " threads)",
-                          fastpath_baseline, fast);
-        ++failures;
-      }
-    }
-    // Vacuity guards: the grids must actually admit work (a stream with zero
-    // placements compares equal for trivial reasons), and the two report
-    // shapes must genuinely differ.
-    if (fastpath_baseline.find("placements=0 ") != std::string::npos) {
-      std::cerr << "FAIL: a fast-path grid cell placed nothing — claim 5 is vacuous\n";
-      ++failures;
-    }
-    if (!fast_grid.empty()) {
-      const auto solo_fast = run_grid_stream({fast_grid.front()}, 1);
-      const auto solo_tail = run_grid_stream({fast_grid.back()}, 1);
-      if (solo_fast == solo_tail) {
+      const auto solo_head = run_grid_stream({admission_grid.front()}, 1);
+      const auto solo_tail = run_grid_stream({admission_grid.back()}, 1);
+      if (solo_head == solo_tail) {
         std::cerr << "FAIL: fig. 10- and fig. 13-shaped cells produced identical streams — "
                      "the grid is not exercising distinct workloads\n";
         ++failures;
       }
     }
-    if (failures == failures_before_fastpath) {
-      std::cout << "OK: fast-path and fast-path-off streams byte-identical across "
+    // The audit only tests pruned probes, so pruning must actually happen —
+    // and on the router's multi-cell path, not only the flat one.
+    exp::ExperimentConfig observed = make_admission_grid(2).back();
+    observed.driver.obs.enabled = true;
+    const exp::ExperimentResult observed_run = exp::run_experiment(observed);
+    for (const char* name : {"mlp.probes_pruned", "topology.stages_routed"}) {
+      const auto* m = observed_run.obs.snapshot.find(name);
+      if (m == nullptr || m->counter == 0) {
+        std::cerr << "FAIL: instrumented 2-cell admission run recorded no " << name
+                  << " — claim 5 is vacuous\n";
+        ++failures;
+      }
+    }
+    audit::set_enabled(audit_before);
+    if (failures == failures_before_pruning) {
+      std::cout << "OK: audited 1- and 2-cell admission streams byte-identical across "
                    "1/4/8 threads ("
-                << fastpath_baseline.size() << " bytes)\n";
+                << pruning_bytes << " bytes); pruned probes all re-tested as failing\n";
     }
 
     // --- claim 6: telemetry collection is zero-perturbation ----------------
