@@ -12,6 +12,9 @@ VmlpScheduler::VmlpScheduler(VmlpParams params, std::uint64_t seed)
 
 void VmlpScheduler::attach(sched::SimulationDriver& driver) {
   sched::IScheduler::attach(driver);
+  // The two optional hooks v-MLP overrides: self-healing consumes late
+  // invocations, and a finished request leaves the waiting and ready queues.
+  driver.subscribe(sched::Hook::kLateInvocation | sched::Hook::kRequestFinished);
   iface_ = std::make_unique<InterfaceLayer>(driver);
   organizer_ = std::make_unique<SelfOrganizing>(*iface_, params_, Rng(seed_).fork("organize"));
   healer_ = std::make_unique<SelfHealing>(*iface_, params_);

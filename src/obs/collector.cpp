@@ -68,6 +68,7 @@ Collector::Collector(const Params& params) : params_(params), ring_(params.ring_
       r.add_counter("driver.starts_ontime", "nodes started at/after their planned time");
   driver_.starts_denied =
       r.add_counter("driver.starts_denied", "early-start attempts pushed back to plan time");
+  // Zero for a scheduler that did not subscribe to sched::Hook::kLateInvocation.
   driver_.lates_fired =
       r.add_counter("driver.lates_fired", "on_late_invocation deliveries to the scheduler");
   driver_.limits_adjusted =

@@ -11,9 +11,6 @@
 namespace vmlp::sched {
 
 namespace {
-// Index of running instances per machine, kept in the driver via this helper
-// key type (declared here to keep the header lean).
-
 /// Scoped host-clock accumulator around a scheduler callback. Only the
 /// outermost scope on a callback chain accumulates, so a policy that
 /// synchronously triggers another callback (place -> immediate start ->
@@ -80,6 +77,7 @@ SimulationDriver::SimulationDriver(const app::Application& application, ISchedul
       cluster_.machine(MachineId(static_cast<std::uint32_t>(m))).ledger().set_observer(obs_.get());
     }
   }
+  running_on_.resize(cluster_.machine_count());
   volatility_cache_.resize(app_.request_count(), 0.0);
   for (const auto& rt : app_.requests()) {
     qos_.set_slo(rt.id(), rt.slo());
@@ -177,11 +175,12 @@ std::vector<RequestId> SimulationDriver::active_requests() const {
 
 std::vector<std::pair<RequestId, std::size_t>> SimulationDriver::running_on(
     MachineId machine) const {
-  auto it = running_on_.find(machine.value());
-  if (it == running_on_.end()) return {};
+  VMLP_CHECK_MSG(machine.value() < running_on_.size(),
+                 "running_on() of unknown machine " << machine.value());
+  const std::vector<RunningRef>& refs = running_on_[machine.value()];
   std::vector<std::pair<RequestId, std::size_t>> out;
-  out.reserve(it->second.size());
-  for (const RunningRef& r : it->second) out.emplace_back(r.id, r.node);
+  out.reserve(refs.size());
+  for (const RunningRef& r : refs) out.emplace_back(r.id, r.node);
   return out;
 }
 
@@ -323,41 +322,35 @@ void SimulationDriver::schedule_start_attempt(ActiveRequest& ar, std::size_t nod
       dn.start_event = engine_.schedule_at(start_at, [this, rid, node] { start_node(rid, node); });
     }
     // Starting later than planned leaves a resource vacancy: self-healing
-    // territory. Note for scheduler authors: planned_start == now() arms the
-    // watch at the current timestamp, so on_late_invocation must never
-    // respond by re-placing with planned_start = now() again — that closes a
-    // zero-delay event cycle where simulated time never advances (see the
-    // backoff in VmlpScheduler::on_late_invocation).
-    if (start_at > dn.planned_start && dn.planned_start >= engine_.now() &&
-        !engine_.reschedule(dn.late_event, dn.planned_start)) {
-      dn.late_event = engine_.schedule_at(dn.planned_start, [this, rid, node] {
-        ActiveRequest* r = find_request(rid);
-        if (r == nullptr) return;
-        DriverNode& n = r->nodes[node];
-        if (!n.running && !n.done) {
-          ++counters_.late_events;
-          PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                          policy_epoch_);
-          scheduler_.on_late_invocation(rid, node);
-        }
-      });
-    }
-  } else {
+    // territory.
+    if (start_at > dn.planned_start) arm_late_watch(ar, node);
+  } else if (!dn.late_event.valid()) {
     // Dependencies still executing; watch for lateness at the planned start.
-    if (dn.planned_start >= engine_.now() && !dn.late_event.valid()) {
-      dn.late_event = engine_.schedule_at(dn.planned_start, [this, rid, node] {
-        ActiveRequest* r = find_request(rid);
-        if (r == nullptr) return;
-        DriverNode& n = r->nodes[node];
-        if (!n.running && !n.done) {
-          ++counters_.late_events;
-          PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                          policy_epoch_);
-          scheduler_.on_late_invocation(rid, node);
-        }
-      });
-    }
+    arm_late_watch(ar, node);
   }
+}
+
+void SimulationDriver::arm_late_watch(ActiveRequest& ar, std::size_t node) {
+  DriverNode& dn = ar.nodes[node];
+  // Nobody reads the watch without a subscription: arm no event at all.
+  // Note for scheduler authors: planned_start == now() arms the watch at the
+  // current timestamp, so on_late_invocation must never respond by
+  // re-placing with planned_start = now() again — that closes a zero-delay
+  // event cycle where simulated time never advances (see the backoff in
+  // VmlpScheduler::on_late_invocation).
+  if (!wants(Hook::kLateInvocation) || dn.planned_start < engine_.now()) return;
+  if (engine_.reschedule(dn.late_event, dn.planned_start)) return;
+  const RequestId rid = ar.runtime.id();
+  dn.late_event = engine_.schedule_at(dn.planned_start, [this, rid, node] {
+    ActiveRequest* r = find_request(rid);
+    if (r == nullptr) return;
+    const DriverNode& n = r->nodes[node];
+    if (n.running || n.done) return;
+    ++counters_.late_events;
+    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
+                      policy_epoch_);
+    scheduler_.on_late_invocation(rid, node);
+  });
 }
 
 void SimulationDriver::release_reservation_tail(ActiveRequest& ar, std::size_t node,
@@ -399,7 +392,8 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
       dn.start_event = engine_.schedule_at(retry, [this, id, node] { start_node(id, node); });
       // The planned machine keeps refusing while the node is ready to go:
       // treat it as a (pre-)late invocation so the scheduler may relocate it.
-      if (dn.early_denial_streak >= DriverNode::kStuckThreshold && !dn.stuck_notified) {
+      if (dn.early_denial_streak >= DriverNode::kStuckThreshold && !dn.stuck_notified &&
+          wants(Hook::kLateInvocation)) {
         dn.stuck_notified = true;
         ++counters_.late_events;
         PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
@@ -463,9 +457,9 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
 
   running_on_[dn.machine.value()].push_back(RunningRef{id, node, ar});
   recompute_machine(dn.machine);
-  {
+  if (wants(Hook::kNodeStarted)) {
     PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeStarted,
-                          policy_epoch_);
+                      policy_epoch_);
     scheduler_.on_node_started(id, node);
   }
 }
@@ -494,8 +488,8 @@ double SimulationDriver::instance_rate(const app::MicroserviceType& type, const 
 }
 
 void SimulationDriver::recompute_machine(MachineId machine) {
-  auto it = running_on_.find(machine.value());
-  if (it == running_on_.end() || it->second.empty()) return;
+  const std::vector<RunningRef>& refs = running_on_[machine.value()];
+  if (refs.empty()) return;
   cluster::Machine& m = cluster_.machine(machine);
   const SimTime t = engine_.now();
 
@@ -510,7 +504,7 @@ void SimulationDriver::recompute_machine(MachineId machine) {
       total.io > cap.io ? cap.io / total.io : 1.0,
   };
 
-  for (const RunningRef& ref : it->second) {
+  for (const RunningRef& ref : refs) {
     DriverNode& dn = ref.ar->nodes[ref.node];
     advance_instance(dn, t);
     const auto& req_node = ref.ar->runtime.type().nodes()[ref.node];
@@ -607,9 +601,9 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   for (std::size_t child : unblocked) {
     handle_parent_finished(*ar, child, dn.machine, t);
   }
-  {
+  if (wants(Hook::kNodeFinished)) {
     PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeFinished,
-                          policy_epoch_);
+                      policy_epoch_);
     scheduler_.on_node_finished(id, node);
   }
 
@@ -622,9 +616,9 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     if (params_.attribution && params_.trace_spans) attribute_request(*ar, id);
     if (ar->degraded) orphaned_latencies_.add(static_cast<double>(t - ar->runtime.arrival()));
     ++completed_;
-    {
-      PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kRequestFinished,
-                          policy_epoch_);
+    if (wants(Hook::kRequestFinished)) {
+      PolicyScope scope(policy_ns_, policy_depth_, obs_.get(),
+                        obs::PolicyCallback::kRequestFinished, policy_epoch_);
       scheduler_.on_request_finished(id);
     }
     requests_.erase(id);
@@ -819,8 +813,7 @@ void SimulationDriver::crash_machine(MachineId machine) {
 
   // Orphan every running execution here. Copy the refs: the fail path edits
   // running_on_ and may trigger scheduler callbacks that place elsewhere.
-  std::vector<RunningRef> victims;
-  if (auto it = running_on_.find(machine.value()); it != running_on_.end()) victims = it->second;
+  const std::vector<RunningRef> victims = running_on_[machine.value()];
   for (const RunningRef& ref : victims) {
     ActiveRequest* ar = find_request(ref.id);
     if (ar == nullptr || !ar->nodes[ref.node].running) continue;
@@ -858,8 +851,7 @@ void SimulationDriver::crash_machine(MachineId machine) {
   // reservations and a ledger that agrees (capacity conservation through a
   // crash).
   if (audit::enabled()) {
-    const auto rit = running_on_.find(machine.value());
-    VMLP_AUDIT_ASSERT(rit == running_on_.end() || rit->second.empty(),
+    VMLP_AUDIT_ASSERT(running_on_[machine.value()].empty(),
                       "crash purge left executions on machine " << machine.value());
     for (RequestId id : arrival_order_) {
       const ActiveRequest* ar = find_request(id);

@@ -18,7 +18,11 @@
 //    baselines book from "now" with their own estimates.
 //  * Late invocations: a placed node that has not started by its planned
 //    start triggers IScheduler::on_late_invocation — the hook the paper's
-//    self-healing module hangs off.
+//    self-healing module hangs off. Like on_node_started, on_node_finished
+//    and on_request_finished it is optional: it is delivered only to a
+//    scheduler that subscribed to it in attach() (subscribe()), and without
+//    a subscription the driver arms no late watch at all. A forwarding
+//    wrapper must forward attach() for its policy's subscription to count.
 #pragma once
 
 #include <chrono>
@@ -237,6 +241,13 @@ class SimulationDriver {
   /// Run to the horizon and finalize accounting. Returns the result summary.
   RunResult run();
 
+  /// Subscribe the scheduler to optional hooks (bits accumulate). Call from
+  /// IScheduler::attach(); a hook nobody subscribed to is never delivered,
+  /// and the driver skips the events and host-clock reads it would cost.
+  void subscribe(Hook hooks) { hooks_ = hooks_ | hooks; }
+  /// True once the scheduler subscribed to `hook`.
+  [[nodiscard]] bool wants(Hook hook) const { return (hooks_ & hook) != Hook::kNone; }
+
   // ---- scheduler-facing API -------------------------------------------
   [[nodiscard]] SimTime now() const { return engine_.now(); }
   [[nodiscard]] const DriverParams& params() const { return params_; }
@@ -258,7 +269,8 @@ class SimulationDriver {
   [[nodiscard]] ActiveRequest* find_request(RequestId id);
   /// Unfinished requests in arrival order.
   [[nodiscard]] std::vector<RequestId> active_requests() const;
-  /// Running (request, node) pairs currently executing on a machine.
+  /// Running (request, node) pairs currently executing on a machine. Throws
+  /// InvariantError for a machine id outside the cluster.
   [[nodiscard]] std::vector<std::pair<RequestId, std::size_t>> running_on(MachineId machine) const;
 
   /// Place node `node` of request `id` on `machine` with resource `limit`,
@@ -314,7 +326,9 @@ class SimulationDriver {
     std::size_t early_starts = 0;     ///< nodes started before their planned time
     std::size_t early_denials = 0;    ///< early attempts pushed back to plan time
     std::size_t on_time_starts = 0;   ///< started at/after planned time
-    std::size_t late_events = 0;      ///< on_late_invocation deliveries
+    /// on_late_invocation deliveries: 0 unless the scheduler subscribed to
+    /// Hook::kLateInvocation (no watch is armed otherwise).
+    std::size_t late_events = 0;
     std::size_t reallocations = 0;    ///< adjust_limit calls
     std::size_t interference_bursts = 0;  ///< injected co-tenant bursts
     std::size_t machine_crashes = 0;      ///< crash windows entered
@@ -353,6 +367,10 @@ class SimulationDriver {
   void container_fault(RequestId id, std::size_t node);
   void invocation_timeout(RequestId id, std::size_t node);
   void schedule_start_attempt(ActiveRequest& ar, std::size_t node);
+  /// Arm (or move) the node's late watch at its planned start, if the
+  /// scheduler subscribed to Hook::kLateInvocation and that time has not
+  /// passed.
+  void arm_late_watch(ActiveRequest& ar, std::size_t node);
   void start_node(RequestId id, std::size_t node);
   void finish_node(RequestId id, std::size_t node);
   void handle_parent_finished(ActiveRequest& ar, std::size_t child, MachineId parent_machine,
@@ -408,8 +426,8 @@ class SimulationDriver {
   std::vector<FailureWindow> failure_schedule_;
   stats::SampleSet orphaned_latencies_;
   std::unordered_map<RequestId, std::unique_ptr<ActiveRequest>> requests_;
-  /// machine id -> running instances placed there.
-  std::unordered_map<std::uint32_t, std::vector<RunningRef>> running_on_;
+  /// Running instances per machine, indexed by machine id (sized once).
+  std::vector<std::vector<RunningRef>> running_on_;
   /// V_r per request type id, precomputed once: the lookup is hot in the
   /// self-organizing module's per-placement scoring and was previously
   /// recomputed from the service classes on every call.
@@ -421,6 +439,7 @@ class SimulationDriver {
   std::size_t arrived_ = 0;
   std::size_t completed_ = 0;
   Counters counters_;
+  Hook hooks_ = Hook::kNone;  ///< optional hooks the scheduler subscribed to
   /// Accumulated host-clock nanoseconds inside scheduler callbacks (see
   /// RunResult::policy_seconds). The depth counter keeps re-entrant
   /// callback chains from double-counting the nested interval.

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
+#include "exp/experiment.h"
+#include "loadgen/generator.h"
+#include "loadgen/patterns.h"
 #include "sched/driver.h"
 #include "sched/scheduler.h"
+#include "workloads/suite.h"
 
 namespace vmlp::sched {
 namespace {
@@ -19,6 +25,10 @@ class ScriptedScheduler : public IScheduler {
   explicit ScriptedScheduler(bool plan_ahead = true) : plan_ahead_(plan_ahead) {}
 
   [[nodiscard]] std::string name() const override { return "scripted"; }
+  void attach(SimulationDriver& driver) override {
+    IScheduler::attach(driver);
+    driver.subscribe(Hook::kLateInvocation | Hook::kNodeFinished | Hook::kRequestFinished);
+  }
 
   void on_request_arrival(RequestId id) override {
     ActiveRequest* ar = driver_->find_request(id);
@@ -195,6 +205,10 @@ TEST(Driver, AdjustLimitAccelerates) {
      public:
       explicit CappedScheduler(bool stretch) : stretch_(stretch) {}
       [[nodiscard]] std::string name() const override { return "capped"; }
+      void attach(SimulationDriver& driver) override {
+        IScheduler::attach(driver);
+        driver.subscribe(Hook::kNodeStarted);
+      }
       void on_request_arrival(RequestId id) override {
         ActiveRequest* ar = driver_->find_request(id);
         const auto& svc = driver_->application().service(ar->runtime.type().nodes()[0].service);
@@ -305,6 +319,153 @@ TEST(Driver, MonitorSampledDuringRun) {
   EXPECT_GE(driver.cluster_monitor().sample_count(), 45u);
   EXPECT_GE(driver.cluster_monitor().mean_overall(), 0.0);
   EXPECT_LE(driver.cluster_monitor().mean_overall(), 1.0);
+}
+
+/// A forwarding wrapper shaped like the benchmark's policy probe: it
+/// subscribes to every optional hook and forwards every callback, attach()
+/// included, to the wrapped policy unchanged.
+class ForwardingScheduler final : public IScheduler {
+ public:
+  explicit ForwardingScheduler(std::unique_ptr<IScheduler> inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void attach(SimulationDriver& driver) override {
+    IScheduler::attach(driver);
+    driver.subscribe(Hook::kLateInvocation | Hook::kNodeStarted | Hook::kNodeFinished |
+                     Hook::kRequestFinished);
+    inner_->attach(driver);
+  }
+  void on_request_arrival(RequestId id) override { inner_->on_request_arrival(id); }
+  void on_node_unblocked(RequestId id, std::size_t node) override {
+    inner_->on_node_unblocked(id, node);
+  }
+  void on_tick() override { inner_->on_tick(); }
+  void on_late_invocation(RequestId id, std::size_t node) override {
+    inner_->on_late_invocation(id, node);
+  }
+  void on_node_orphaned(RequestId id, std::size_t node) override {
+    inner_->on_node_orphaned(id, node);
+  }
+  void on_node_started(RequestId id, std::size_t node) override {
+    inner_->on_node_started(id, node);
+  }
+  void on_node_finished(RequestId id, std::size_t node) override {
+    inner_->on_node_finished(id, node);
+  }
+  void on_request_finished(RequestId id) override { inner_->on_request_finished(id); }
+
+ private:
+  std::unique_ptr<IScheduler> inner_;
+};
+
+struct HookRun {
+  RunResult result;
+  std::size_t late_events = 0;
+  std::uint64_t events_executed = 0;  ///< engine.events_executed (0 under VMLP_NO_OBS)
+};
+
+/// A short contended run of `scheme` on the benchmark suite, with
+/// interference and failures on so that lates, orphans and retries all occur.
+HookRun run_scheme(exp::SchemeKind scheme, bool forwarded) {
+  const auto application = workloads::make_benchmark_suite();
+  DriverParams p;
+  p.horizon = 3 * kSec;
+  p.cluster.machine_count = 6;
+  p.machines_per_rack = 3;
+  p.seed = 11;
+  p.interference.enabled = true;
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 1.0;
+  p.failure.recovery_mean = 200 * kMsec;
+  p.failure.container_fault_prob = 0.01;
+  p.obs.enabled = true;
+
+  loadgen::PatternParams pp;
+  pp.horizon = p.horizon;
+  pp.base_rate = 16.0;
+  pp.max_rate = 48.0;
+  pp.peak_time = p.horizon / 2;
+  const auto pattern = loadgen::WorkloadPattern::make(loadgen::PatternKind::kL1Pulse, pp, 5);
+  Rng rng(5);
+  const auto arrivals =
+      loadgen::generate_arrivals(pattern, loadgen::RequestMix::all(*application), rng);
+
+  std::unique_ptr<IScheduler> policy = exp::make_scheduler(scheme, {}, p.seed);
+  if (forwarded) policy = std::make_unique<ForwardingScheduler>(std::move(policy));
+  SimulationDriver driver(*application, *policy, p);
+  driver.load_arrivals(arrivals);
+  HookRun run;
+  run.result = driver.run();
+  run.late_events = driver.counters().late_events;
+  const obs::Snapshot snapshot = driver.observer()->snapshot();
+  if (const obs::MetricSnapshot* m = snapshot.find("engine.events_executed")) {
+    run.events_executed = m->counter;
+  }
+  return run;
+}
+
+/// Every deterministic RunResult field (all but host-time policy_seconds).
+void expect_same_outcome(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.arrived, b.arrived);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.unfinished, b.unfinished);
+  EXPECT_EQ(a.qos_violation_rate, b.qos_violation_rate);
+  EXPECT_EQ(a.mean_utilization, b.mean_utilization);
+  EXPECT_EQ(a.p50_latency_us, b.p50_latency_us);
+  EXPECT_EQ(a.p90_latency_us, b.p90_latency_us);
+  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us);
+  EXPECT_EQ(a.mean_latency_us, b.mean_latency_us);
+  EXPECT_EQ(a.throughput_rps, b.throughput_rps);
+  EXPECT_EQ(a.placements, b.placements);
+  EXPECT_EQ(a.machine_crashes, b.machine_crashes);
+  EXPECT_EQ(a.container_faults, b.container_faults);
+  EXPECT_EQ(a.invocation_timeouts, b.invocation_timeouts);
+  EXPECT_EQ(a.orphaned_nodes, b.orphaned_nodes);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.abandoned_requests, b.abandoned_requests);
+  EXPECT_EQ(a.orphaned_mean_latency_us, b.orphaned_mean_latency_us);
+  EXPECT_EQ(a.orphaned_p99_latency_us, b.orphaned_p99_latency_us);
+  EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+}
+
+TEST(DriverHooks, SubscriptionDoesNotChangeOutcomes) {
+  // FairSched subscribes to no optional hook, so the driver arms no late
+  // watch for it; wrapped in a forwarder that subscribes to all of them, the
+  // watches fire into FairSched's no-op default. Dropping those events must
+  // leave the simulated outcome bit-identical.
+  const HookRun plain = run_scheme(exp::SchemeKind::kFairSched, false);
+  const HookRun wrapped = run_scheme(exp::SchemeKind::kFairSched, true);
+  ASSERT_GT(plain.result.completed, 0u);
+  expect_same_outcome(plain.result, wrapped.result);
+  EXPECT_EQ(plain.late_events, 0u);
+  EXPECT_GT(wrapped.late_events, 0u);
+#ifndef VMLP_NO_OBS
+  EXPECT_LT(plain.events_executed, wrapped.events_executed);
+#endif
+}
+
+TEST(DriverHooks, ForwardedVmlpKeepsItsLateInvocations) {
+  // v-MLP subscribes in attach(); a forwarder that forwards attach() passes
+  // the subscription on, so healing sees the same late invocations.
+  const HookRun plain = run_scheme(exp::SchemeKind::kVmlp, false);
+  const HookRun wrapped = run_scheme(exp::SchemeKind::kVmlp, true);
+  ASSERT_GT(plain.result.completed, 0u);
+  expect_same_outcome(plain.result, wrapped.result);
+  EXPECT_GT(plain.late_events, 0u);
+  EXPECT_EQ(plain.late_events, wrapped.late_events);
+}
+
+TEST(DriverHooks, SubscriptionsAccumulate) {
+  auto application = make_chain_app();
+  ScriptedScheduler sched;
+  SimulationDriver driver(*application, sched, small_params());
+  EXPECT_FALSE(driver.wants(Hook::kLateInvocation));
+  driver.subscribe(Hook::kNodeStarted);
+  driver.subscribe(Hook::kRequestFinished);
+  EXPECT_TRUE(driver.wants(Hook::kNodeStarted));
+  EXPECT_TRUE(driver.wants(Hook::kRequestFinished));
+  EXPECT_FALSE(driver.wants(Hook::kNodeFinished));
+  EXPECT_FALSE(driver.wants(Hook::kLateInvocation));
 }
 
 }  // namespace

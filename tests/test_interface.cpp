@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "common/error.h"
 #include "mlp/interface_layer.h"
 #include "sched/common.h"
 #include "sched/driver.h"
@@ -52,6 +53,16 @@ TEST(InterfaceLayer, ForwardsMonitorsAndMetadata) {
   // Warmup populated the profile store visible through the layer.
   EXPECT_TRUE(iface.profiles().has_history(
       application->request(compose).nodes()[0].service, compose));
+}
+
+TEST(InterfaceLayer, RunningOnRejectsUnknownMachine) {
+  auto application = workloads::make_benchmark_suite();
+  ProbeScheduler probe;
+  sched::SimulationDriver driver(*application, probe, params());
+  InterfaceLayer iface(driver);
+  EXPECT_TRUE(iface.running_on(MachineId(3)).empty());
+  EXPECT_THROW((void)iface.running_on(MachineId(4)), InvariantError);
+  EXPECT_THROW((void)driver.running_on(MachineId(1000)), InvariantError);
 }
 
 TEST(InterfaceLayer, ControllersActuate) {

@@ -10,7 +10,9 @@ out-of-line `T` (global) or `W` (weak, i.e. an emitted inline copy) symbol
 in a Release library means a call per probe came back. That happens when a
 body moves back into a .cpp file, or when a check at the call site grows a
 message stream big enough that the compiler declines to inline (see
-common/error.h).
+common/error.h). The driver's hook-subscription test,
+`SimulationDriver::wants`, runs on every node start and finish and is
+guarded the same way.
 
 The check runs `nm -C --defined-only` over the given static libraries and
 lists every hot function that still has a `T` or `W` definition. The cold
@@ -46,6 +48,7 @@ HOT_FUNCTIONS = (
     "vmlp::app::Dag::parents",
     "vmlp::app::Application::service",
     "vmlp::sched::SimulationDriver::expected_comm",
+    "vmlp::sched::SimulationDriver::wants",
     "vmlp::cluster::Cluster::machine",
     "vmlp::net::Topology::rack_of",
 )
