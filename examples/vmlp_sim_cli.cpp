@@ -25,15 +25,16 @@
 //   trace_json = run_trace.json       ; Perfetto/Chrome trace (ui.perfetto.dev)
 //   attribution_report = run_blame.txt ; critical-path p99 blame report
 //
-// [run] attribution = true turns on per-request latency attribution (the
-// `attribution.*` histogram families + critical:true span tags) without
-// writing the report file.
+// [run] attribution = true prints the attribution report and tags critical
+// spans (critical:true) without writing the report file. The metrics, trace
+// and attribution outputs turn the telemetry collector on, and a collector
+// on a run with spans (always, here) records the `attribution.*` histogram
+// families.
 //
 // The telemetry exports can also be requested on the command line (they
 // override the INI keys):
 //
-//   $ ./vmlp_sim_cli myrun.ini --metrics run_metrics.prom --trace-out run_trace.json \
-//       --attribution run_blame.txt
+//   $ ./vmlp_sim_cli myrun.ini --metrics run.prom --trace-out run.json --attribution run.txt
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -128,8 +129,9 @@ int main(int argc, char** argv) {
     dp.seed = config.seed;
     // Telemetry collection is zero-perturbation (claims 6 and 8): enabling
     // it for the exports cannot change the printed result row.
-    dp.attribution = attribution_path.has_value() || cfg.get_bool("run.attribution", false);
-    dp.obs.enabled = metrics_path.has_value() || trace_path.has_value() || dp.attribution;
+    const bool attribution =
+        attribution_path.has_value() || cfg.get_bool("run.attribution", false);
+    dp.obs.enabled = metrics_path.has_value() || trace_path.has_value() || attribution;
     const auto pattern = loadgen::WorkloadPattern::make(
         config.pattern, config.pattern_params, Rng(config.seed).fork("pattern").seed());
     loadgen::RequestMix mix = config.stream == exp::StreamKind::kMixed
@@ -161,11 +163,11 @@ int main(int argc, char** argv) {
     if (const auto path = cfg.get("export.spans_json")) {
       trace::SpanExportOptions span_options;
       span_options.machines_per_rack = dp.machines_per_rack;
-      span_options.mark_critical = dp.attribution;
+      span_options.mark_critical = attribution;
       trace::export_spans_json_file(driver.tracer(), *application, *path, span_options);
       std::cout << "spans written to " << *path << '\n';
     }
-    if (dp.attribution) {
+    if (attribution) {
       exp::ObsCapture capture;
       capture.enabled = true;
       capture.spans = driver.tracer().spans();

@@ -134,7 +134,7 @@ std::vector<std::string> attribution_phase_columns() {
 void print_attribution_report(const ObsCapture& capture, std::ostream& out) {
   print_section("latency attribution (critical-path p99 blame)", out);
   if (!capture.enabled || capture.spans.empty() || capture.request_records.empty()) {
-    out << "(no traced requests captured — run with trace_spans + attribution on)\n";
+    out << "(no traced requests captured — run with trace_spans + obs on)\n";
     return;
   }
 

@@ -40,7 +40,7 @@ std::vector<double> latency_bounds_us() {
 
 }  // namespace
 
-Collector::Collector(const Params& params) : params_(params), ring_(params.ring_capacity) {
+Collector::Collector(std::size_t topology_cells) : ring_(kRingCapacity) {
   Registry& r = registry_;
 
   engine_.events_scheduled =
@@ -145,7 +145,7 @@ Collector::Collector(const Params& params) : params_(params), ring_(params.ring_
       r.add_gauge("topology.cell_live_peak", "peak live placements across the whole cluster");
   // Bounded per-cell label family; dynamic names pass the same runtime style
   // check as the literals above (Registry::check_name).
-  const std::size_t cells = std::min(params.topology_cells, kMaxCellGauges);
+  const std::size_t cells = std::min(topology_cells, kMaxCellGauges);
   topology_.cell_live.reserve(cells);
   for (std::size_t c = 0; c < cells; ++c) {
     topology_.cell_live.push_back(

@@ -16,9 +16,6 @@
 //    simulated-time values and are themselves deterministic; host-clock
 //    policy slices live in a separate buffer that only the Perfetto exporter
 //    reads and no byte-compared output ever includes.
-//  * Compiling with -DVMLP_NO_OBS turns every recording method into an empty
-//    inline body, so the `if (obs_)` sites fold away entirely — the 0%-cost
-//    build gated by the obs_overhead bench family.
 #pragma once
 
 #include <array>
@@ -31,24 +28,22 @@
 
 namespace vmlp::obs {
 
+/// The collector's one setting. Its capacities are the constants below and
+/// its per-cell gauge count comes from the run's cluster (Collector's
+/// constructor argument).
 struct Params {
+  /// Attach a Collector to the run. On a run that records spans
+  /// (DriverParams::trace_spans) this also feeds the `attribution.*`
+  /// histograms.
   bool enabled = false;
-  /// Decision-event ring capacity (records kept; older ones are counted and
-  /// overwritten). 0 keeps counters/histograms but records no events.
-  std::size_t ring_capacity = 1 << 16;
-  /// Also record a ring event per engine reschedule — the hottest site in
-  /// the simulator (~1 per executed event), so it is opt-in on top of
-  /// `enabled`. Counters still track reschedules either way.
-  bool ring_engine_events = false;
-  /// Host-time policy profiling slices kept for Perfetto export (further
-  /// slices are counted as dropped).
-  std::size_t max_policy_slices = 1 << 16;
-  /// Cell count of the run's cluster topology: sizes the bounded per-cell
-  /// gauge family (clamped to kMaxCellGauges — per-cell labels, never
-  /// per-machine cardinality). The driver fills this in from its cluster
-  /// before constructing the collector.
-  std::size_t topology_cells = 1;
 };
+
+/// Decision-event ring capacity: records kept, older ones counted and
+/// overwritten.
+inline constexpr std::size_t kRingCapacity = 1 << 16;
+/// Host-time policy profiling slices kept for Perfetto export; further
+/// slices are counted as dropped.
+inline constexpr std::size_t kMaxPolicySlices = 1 << 16;
 
 /// Which scheduler policy callback a host-time profiling slice covers.
 enum class PolicyCallback : std::uint8_t {
@@ -76,7 +71,10 @@ struct PolicySlice {
 
 class Collector {
  public:
-  explicit Collector(const Params& params);
+  /// `topology_cells` is the cell count of the run's cluster topology: it
+  /// sizes the bounded per-cell gauge family (clamped to kMaxCellGauges —
+  /// per-cell labels, never per-machine cardinality).
+  explicit Collector(std::size_t topology_cells);
 
   // ---- pre-registered handle families (all names live in collector.cpp) --
   struct EngineMetrics {
@@ -111,8 +109,8 @@ class Collector {
     /// (names topology.cellN.live_peak) — the per-cell label family.
     std::vector<GaugeHandle> cell_live;
   };
-  /// Per-request latency attribution (DriverParams::attribution): one family
-  /// per volatility band (attribution.low.*, attribution.mid.*,
+  /// Per-request latency attribution (fed when the run records spans): one
+  /// family per volatility band (attribution.low.*, attribution.mid.*,
   /// attribution.high.*), each with a share-of-latency histogram per
   /// trace::Phase plus critical-path length and off-path slack. Fed at
   /// request completion by the driver's critical-path pass.
@@ -141,8 +139,7 @@ class Collector {
   [[nodiscard]] const TopologyMetrics& topology() const { return topology_; }
   [[nodiscard]] const AttributionMetrics& attribution() const { return attribution_; }
 
-  // ---- hot recording path (inline; compiled out under VMLP_NO_OBS) -------
-#ifndef VMLP_NO_OBS
+  // ---- hot recording path (inline) ---------------------------------------
   void count(CounterHandle h, std::uint64_t n = 1) { registry_.count(h, n); }
   void set_counter(CounterHandle h, std::uint64_t v) { registry_.set_counter(h, v); }
   void set_gauge(GaugeHandle h, double v) { registry_.set_gauge(h, v); }
@@ -154,25 +151,13 @@ class Collector {
     ring_.push(DecisionEvent{kind, at, request, node, machine, detail});
   }
   void policy_slice(PolicyCallback kind, std::int64_t start_ns, std::int64_t dur_ns) {
-    if (slices_.size() < params_.max_policy_slices) {
+    if (slices_.size() < kMaxPolicySlices) {
       slices_.push_back(PolicySlice{kind, start_ns, dur_ns});
     } else {
       ++slices_dropped_;
     }
   }
-#else
-  void count(CounterHandle, std::uint64_t = 1) {}
-  void set_counter(CounterHandle, std::uint64_t) {}
-  void set_gauge(GaugeHandle, double) {}
-  void gauge_max(GaugeHandle, double) {}
-  void observe(HistogramHandle, double) {}
-  void event(DecisionKind, SimTime, std::uint64_t = DecisionEvent::kNoRequest,
-             std::uint32_t = DecisionEvent::kNoIndex, std::uint32_t = DecisionEvent::kNoIndex,
-             std::int64_t = 0) {}
-  void policy_slice(PolicyCallback, std::int64_t, std::int64_t) {}
-#endif
 
-  [[nodiscard]] bool ring_engine_events() const { return params_.ring_engine_events; }
   [[nodiscard]] std::uint64_t counter_value(CounterHandle h) const {
     return registry_.counter_value(h);
   }
@@ -184,7 +169,6 @@ class Collector {
   [[nodiscard]] Snapshot snapshot() const { return registry_.snapshot(); }
 
  private:
-  Params params_;
   Registry registry_;
   EventRing ring_;
   std::vector<PolicySlice> slices_;

@@ -26,8 +26,6 @@ const char* decision_kind_name(DecisionKind kind) {
       return "orphan";
     case DecisionKind::kRetry:
       return "retry";
-    case DecisionKind::kEngineReschedule:
-      return "engine_reschedule";
     case DecisionKind::kKindCount:
       break;
   }

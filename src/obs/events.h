@@ -1,11 +1,11 @@
 // Structured decision-event ring buffer.
 //
 // Every scheduler decision worth explaining — admission probes, prunes,
-// plan coalesces, stage alignments, delay-slot fills, stretches, failures,
-// engine reschedules — is recorded as one fixed-size typed record stamped
-// with simulated time. The ring overwrites its oldest record when full and
-// counts the overwritten tail, so recording cost is flat and a run can never
-// grow telemetry without bound. Purely an output channel: nothing in the
+// plan coalesces, stage alignments, delay-slot fills, stretches, failures —
+// is recorded as one fixed-size typed record stamped with simulated time.
+// The ring overwrites its oldest record when full and counts the
+// overwritten tail, so recording cost is flat and a run can never grow
+// telemetry without bound. Purely an output channel: nothing in the
 // simulator reads it back, which is what keeps collection zero-perturbation.
 #pragma once
 
@@ -29,7 +29,6 @@ enum class DecisionKind : std::uint8_t {
   kRecover,           ///< machine outage window exited
   kOrphan,            ///< a running/pending execution lost to a failure
   kRetry,             ///< bounded-retry re-placement armed: detail = attempt #
-  kEngineReschedule,  ///< decrease-key move of a pending event: detail = delta (us)
   kKindCount,
 };
 

@@ -69,9 +69,7 @@ SimulationDriver::SimulationDriver(const app::Application& application, ISchedul
     // Telemetry is strictly write-only: the collector never feeds a decision,
     // an RNG draw, or any simulated state, so attaching it cannot perturb the
     // run (determinism_check claim 6 pins this byte-for-byte).
-    obs::Params obs_params = params_.obs;
-    obs_params.topology_cells = cluster_.cells().cell_count();
-    obs_ = std::make_unique<obs::Collector>(obs_params);
+    obs_ = std::make_unique<obs::Collector>(cluster_.cells().cell_count());
     engine_.set_observer(obs_.get());
     for (std::size_t m = 0; m < cluster_.machine_count(); ++m) {
       cluster_.machine(MachineId(static_cast<std::uint32_t>(m))).ledger().set_observer(obs_.get());
@@ -288,19 +286,7 @@ void SimulationDriver::place(RequestId id, std::size_t node, MachineId machine,
     dn.startable_at = ar->runtime.arrival() + comm_.sample_delay(net::Distance::kSameRack);
     dn.blocking_parent = trace::Span::kNoNode;
   } else if (deps_met) {
-    SimTime startable = 0;
-    std::uint32_t blocking = trace::Span::kNoNode;
-    for (const auto& msg : dn.parent_msgs) {
-      const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, machine);
-      // Blocking edge: latest message arrival, ties to the lower parent
-      // index (the deterministic convention shared with trace/export).
-      if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
-        startable = arrived;
-        blocking = msg.parent;
-      }
-    }
-    dn.startable_at = startable;
-    dn.blocking_parent = blocking;
+    resolve_startable(dn);
   }
 
   schedule_start_attempt(*ar, node);
@@ -548,10 +534,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   }
 
   // Tear down the container and the remaining reservation window.
-  auto& vec = running_on_[dn.machine.value()];
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [&](const RunningRef& r) { return r.id == id && r.node == node; }),
-            vec.end());
+  erase_running(id, node, dn.machine);
   cluster::Machine& m = cluster_.machine(dn.machine);
   m.remove_container(dn.container);
   release_reservation_tail(*ar, node, t);
@@ -599,7 +582,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
         ParentMsg{static_cast<std::uint32_t>(node), dn.machine, t});
   }
   for (std::size_t child : unblocked) {
-    handle_parent_finished(*ar, child, dn.machine, t);
+    handle_parent_finished(*ar, child);
   }
   if (wants(Hook::kNodeFinished)) {
     PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeFinished,
@@ -613,7 +596,12 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     if (obs_ != nullptr) {
       obs_->observe(obs_->driver().latency_us, static_cast<double>(t - ar->runtime.arrival()));
     }
-    if (params_.attribution && params_.trace_spans) attribute_request(*ar, id);
+    // Attribution's only outputs are the collector's histograms and the
+    // audit-tier identity check: run it when spans exist and one of them
+    // reads it.
+    if (params_.trace_spans && (obs_ != nullptr || audit::enabled())) {
+      attribute_request(*ar, id);
+    }
     if (ar->degraded) orphaned_latencies_.add(static_cast<double>(t - ar->runtime.arrival()));
     ++completed_;
     if (wants(Hook::kRequestFinished)) {
@@ -630,13 +618,6 @@ void SimulationDriver::attribute_request(const ActiveRequest& ar, RequestId id) 
   // Write-only analysis over the already-recorded spans: nothing below may
   // touch simulated state, RNG streams, or scheduler-visible data — that is
   // what keeps attribution on/off byte-identical (determinism_check claim 8).
-#ifdef VMLP_NO_OBS
-  // With telemetry compiled out the extraction has no sink; keep only the
-  // audit-tier exactness check.
-  if (!audit::enabled()) return;
-#else
-  if (obs_ == nullptr && !audit::enabled()) return;
-#endif
   const trace::RequestRecord* rec = tracer_.find_request(id);
   VMLP_CHECK_MSG(rec != nullptr && rec->finished(), "attribution before completion");
   const app::Dag& dag = ar.runtime.type().dag();
@@ -647,7 +628,6 @@ void SimulationDriver::attribute_request(const ActiveRequest& ar, RequestId id) 
                     "critical-path phases sum to " << path.phase_sum() << "us but request "
                                                    << id.value() << " took " << rec->latency()
                                                    << "us end to end");
-#ifndef VMLP_NO_OBS
   if (obs_ == nullptr) return;
   static_assert(trace::kPhaseCount == obs::Collector::AttributionMetrics::kPhases,
                 "attribution metric families must cover every trace::Phase");
@@ -663,25 +643,36 @@ void SimulationDriver::attribute_request(const ActiveRequest& ar, RequestId id) 
   for (const auto& off : path.off_path) {
     obs_->observe(bm.off_path_slack_us, static_cast<double>(off.slack));
   }
-#endif
 }
 
-void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t child,
-                                              MachineId /*parent_machine*/, SimTime /*t*/) {
+void SimulationDriver::resolve_startable(DriverNode& dn) {
+  SimTime startable = 0;
+  std::uint32_t blocking = trace::Span::kNoNode;
+  for (const auto& msg : dn.parent_msgs) {
+    const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, dn.machine);
+    // Blocking edge: latest message arrival, ties to the lower parent
+    // index (the deterministic convention shared with trace/export).
+    if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
+      startable = arrived;
+      blocking = msg.parent;
+    }
+  }
+  dn.startable_at = startable;
+  dn.blocking_parent = blocking;
+}
+
+void SimulationDriver::erase_running(RequestId id, std::size_t node, MachineId machine) {
+  auto& vec = running_on_[machine.value()];
+  vec.erase(std::remove_if(vec.begin(), vec.end(),
+                           [&](const RunningRef& r) { return r.id == id && r.node == node; }),
+            vec.end());
+}
+
+void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t child) {
   DriverNode& dn = ar.nodes[child];
   VMLP_CHECK(ar.runtime.node(child).pending_parents == 0);
   if (dn.placed) {
-    SimTime startable = 0;
-    std::uint32_t blocking = trace::Span::kNoNode;
-    for (const auto& msg : dn.parent_msgs) {
-      const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, dn.machine);
-      if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
-        startable = arrived;
-        blocking = msg.parent;
-      }
-    }
-    dn.startable_at = startable;
-    dn.blocking_parent = blocking;
+    resolve_startable(dn);
     schedule_start_attempt(ar, child);
   } else {
     ar.runtime.mark_ready(child, engine_.now());
@@ -891,10 +882,7 @@ void SimulationDriver::fail_running_node(ActiveRequest& ar, std::size_t node) {
       *ev = {};
     }
   }
-  auto& vec = running_on_[machine.value()];
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [&](const RunningRef& r) { return r.id == id && r.node == node; }),
-            vec.end());
+  erase_running(id, node, machine);
   cluster::Machine& m = cluster_.machine(machine);
   m.remove_container(dn.container);
   release_reservation_tail(ar, node, t);

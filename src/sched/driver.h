@@ -88,7 +88,9 @@ struct DriverParams {
   /// feedback artifact but cost ~100 B per execution; a 10^6-request scale
   /// run either turns them off or sets trace_release_completed to keep RSS
   /// bounded (profiles still record — the scheduler's feedback loop does not
-  /// need retained spans).
+  /// need retained spans). Spans also carry the attribution ledger: with
+  /// spans on, each completion runs the latency-attribution pass whenever
+  /// something reads it (see attribute_request()).
   bool trace_spans = true;
   /// Recycle a request's tracer state (record + span slots) as soon as it
   /// completes, after the attribution pass consumed it. Bounds tracing
@@ -96,18 +98,10 @@ struct DriverParams {
   /// exports (Tracer::spans() becomes unavailable) — the streamed scale
   /// bench's way of running tracing + attribution under its RSS assert.
   bool trace_release_completed = false;
-  /// Per-request latency attribution: at each completion, extract the DAG
-  /// critical path from the recorded spans (trace/critical_path.h) and
-  /// observe the per-volatility-band `attribution.*` histogram families.
-  /// Requires trace_spans; write-only telemetry like the rest of obs —
-  /// RunResult is byte-identical on/off (determinism_check claim 8) — and
-  /// the recording compiles out under -DVMLP_NO_OBS (the extraction then
-  /// only runs under VMLP_AUDIT, which asserts the exact phase-sum
-  /// identity).
-  bool attribution = false;
-  /// Telemetry (metrics registry + decision-event ring + policy profiling).
+  /// Telemetry (metrics registry + decision-event ring + policy profiling,
+  /// plus the `attribution.*` histograms when trace_spans is on).
   /// Strictly write-only for the simulation: enabling it cannot change any
-  /// RunResult byte (determinism_check claim 6).
+  /// RunResult byte (determinism_check claims 6 and 8).
   obs::Params obs;
 };
 
@@ -373,8 +367,13 @@ class SimulationDriver {
   void arm_late_watch(ActiveRequest& ar, std::size_t node);
   void start_node(RequestId id, std::size_t node);
   void finish_node(RequestId id, std::size_t node);
-  void handle_parent_finished(ActiveRequest& ar, std::size_t child, MachineId parent_machine,
-                              SimTime finish_time);
+  void handle_parent_finished(ActiveRequest& ar, std::size_t child);
+  /// Resolve a placed, unblocked node's startable time from its parents'
+  /// completion messages (one comm-delay draw per message, in message
+  /// order) and the blocking parent that bounded it.
+  void resolve_startable(DriverNode& dn);
+  /// Drop (id, node) from its machine's running list.
+  void erase_running(RequestId id, std::size_t node, MachineId machine);
   /// Re-rate all running instances on a machine and reschedule their finishes.
   void recompute_machine(MachineId machine);
   void advance_instance(DriverNode& dn, SimTime to);
@@ -388,10 +387,11 @@ class SimulationDriver {
   /// telemetry registry at end of run — zero per-event cost for values the
   /// driver already tracks. No-op when telemetry is off.
   void sync_observability(const RunResult& result);
-  /// Attribution pass at request completion (params_.attribution): extract
-  /// the critical path from the recorded spans, observe the per-band
-  /// `attribution.*` histograms, and (audit tier) assert the exact
-  /// phase-sum identity. Write-only: never touches simulated state.
+  /// Attribution pass at request completion, run when spans are recorded and
+  /// a reader exists (a collector, or the audit tier): extract the critical
+  /// path from the recorded spans, observe the per-band `attribution.*`
+  /// histograms, and (audit tier) assert the exact phase-sum identity.
+  /// Write-only: never touches simulated state.
   void attribute_request(const ActiveRequest& ar, RequestId id);
   [[nodiscard]] double instance_rate(const app::MicroserviceType& type, const DriverNode& dn,
                                      const cluster::ResourceVector& effective) const;

@@ -98,11 +98,6 @@ void Engine::heap_remove(std::uint32_t slot) {
   pool_[slot].heap_pos = kNoHeapPos;
 }
 
-void Engine::set_observer(obs::Collector* obs) {
-  obs_ = obs;
-  obs_ring_ = obs != nullptr && obs->ring_engine_events();
-}
-
 void Engine::flush_observability() {
   if (obs_ == nullptr) return;
   const auto& handles = obs_->engine();
@@ -193,7 +188,6 @@ bool Engine::reschedule(EventHandle handle, SimTime t) {
   VMLP_AUDIT_ASSERT(t < kTimeInfinity, "event rescheduled to infinity (unresolved plan time)");
   const std::uint32_t slot = slot_of(handle.id);
   Event& e = pool_[slot];
-  const SimTime prev = e.time;
   e.time = t;
   // Fresh sequence number: the rescheduled event fires after events already
   // queued at the same timestamp, matching cancel+schedule_at semantics.
@@ -201,13 +195,7 @@ bool Engine::reschedule(EventHandle handle, SimTime t) {
   // The key can move either direction (earlier or later time).
   sift_up(e.heap_pos);
   sift_down(pool_[slot].heap_pos);
-  if (obs_ != nullptr) {
-    ++obs_rescheduled_;
-    if (obs_ring_) {
-      obs_->event(obs::DecisionKind::kEngineReschedule, now_, obs::DecisionEvent::kNoRequest,
-                  obs::DecisionEvent::kNoIndex, obs::DecisionEvent::kNoIndex, t - prev);
-    }
-  }
+  if (obs_ != nullptr) ++obs_rescheduled_;
   return true;
 }
 

@@ -99,7 +99,7 @@ class Engine {
   /// Attach (or detach with nullptr) a telemetry collector. Recording is
   /// strictly write-only — the engine never reads it back — so attaching one
   /// cannot change event order (the zero-perturbation contract).
-  void set_observer(obs::Collector* obs);
+  void set_observer(obs::Collector* obs) { obs_ = obs; }
   /// Publish the accumulated engine tallies into the collector's registry.
   /// The hot paths only bump plain members (schedule/cancel/reschedule run
   /// ~once per executed event — registry indirections there cost real
@@ -161,7 +161,6 @@ class Engine {
   std::uint64_t next_series_ = 0;
   std::uint64_t executed_ = 0;
   obs::Collector* obs_ = nullptr;           ///< optional telemetry sink (write-only)
-  bool obs_ring_ = false;                   ///< cached Params::ring_engine_events
   // Telemetry tallies, flushed by flush_observability(); only tracked while
   // an observer is attached.
   std::uint64_t obs_scheduled_ = 0;

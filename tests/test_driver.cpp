@@ -361,7 +361,7 @@ class ForwardingScheduler final : public IScheduler {
 struct HookRun {
   RunResult result;
   std::size_t late_events = 0;
-  std::uint64_t events_executed = 0;  ///< engine.events_executed (0 under VMLP_NO_OBS)
+  std::uint64_t events_executed = 0;  ///< engine.events_executed
 };
 
 /// A short contended run of `scheme` on the benchmark suite, with
@@ -439,9 +439,7 @@ TEST(DriverHooks, SubscriptionDoesNotChangeOutcomes) {
   expect_same_outcome(plain.result, wrapped.result);
   EXPECT_EQ(plain.late_events, 0u);
   EXPECT_GT(wrapped.late_events, 0u);
-#ifndef VMLP_NO_OBS
   EXPECT_LT(plain.events_executed, wrapped.events_executed);
-#endif
 }
 
 TEST(DriverHooks, ForwardedVmlpKeepsItsLateInvocations) {

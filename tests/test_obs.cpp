@@ -328,9 +328,7 @@ TEST(ObsEventRing, ZeroCapacityOnlyCounts) {
 // ---- collector ---------------------------------------------------------
 
 TEST(ObsCollector, RegistersAllFamiliesOnce) {
-  obs::Params params;
-  params.enabled = true;
-  obs::Collector collector(params);
+  obs::Collector collector(1);
   // The acceptance bar for one instrumented run is >= 25 distinct metrics;
   // registration alone must already provide the namespace for them across
   // every subsystem family.
@@ -367,14 +365,11 @@ TEST(ObsCollector, RegistersAllFamiliesOnce) {
 }
 
 TEST(ObsCollector, PolicySlicesRespectCap) {
-  obs::Params params;
-  params.enabled = true;
-  params.max_policy_slices = 2;
-  obs::Collector collector(params);
-  for (int i = 0; i < 5; ++i) {
-    collector.policy_slice(obs::PolicyCallback::kArrival, i * 10, 3);
+  obs::Collector collector(1);
+  for (std::size_t i = 0; i < obs::kMaxPolicySlices + 3; ++i) {
+    collector.policy_slice(obs::PolicyCallback::kArrival, static_cast<std::int64_t>(i) * 10, 3);
   }
-  EXPECT_EQ(collector.policy_slices().size(), 2u);
+  EXPECT_EQ(collector.policy_slices().size(), obs::kMaxPolicySlices);
   EXPECT_EQ(collector.policy_slices_dropped(), 3u);
 }
 

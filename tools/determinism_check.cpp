@@ -44,11 +44,12 @@
 //     must be load-bearing somewhere for "inert at one cell" to mean
 //     anything).
 //
-//  8. Latency attribution is zero-perturbation: the claim-1 grid's trial
-//     summaries are byte-identical with per-request attribution (phase
-//     ledger + critical-path extraction + attribution.* histograms) on
-//     versus off, at 1, 4 and 8 pool threads — with a vacuity guard that the
-//     attribution histograms actually recorded samples.
+//  8. Latency attribution is zero-perturbation: with the obs collector on,
+//     the claim-1 grid's trial summaries are byte-identical with spans on
+//     (which runs per-request attribution: phase ledger + critical-path
+//     extraction + attribution.* histograms) versus off, at 1, 4 and 8 pool
+//     threads — with a vacuity guard that the attribution histograms
+//     actually recorded samples in the spans-on run.
 //
 // Exit status: 0 = deterministic, 1 = divergence (first diff is printed).
 #include <iomanip>
@@ -553,15 +554,18 @@ int main() {
     }
 
     // --- claim 8: latency attribution is zero-perturbation -----------------
-    // Attribution runs the span ledger + critical-path extraction + histogram
-    // recording at every request completion; none of it may move a decision.
+    // With obs on, recorded spans drive the span ledger + critical-path
+    // extraction + histogram recording at every request completion; none of
+    // it may move a decision. Both sides collect, so only spans (and with
+    // them attribution) differ.
     exp::TrialSpec attr_off_spec;
     attr_off_spec.base = grid.front();
     attr_off_spec.trials = 6;
     attr_off_spec.base_seed = 2022;
+    attr_off_spec.base.driver.obs.enabled = true;
+    attr_off_spec.base.driver.trace_spans = false;
     exp::TrialSpec attr_on_spec = attr_off_spec;
-    attr_on_spec.base.driver.obs.enabled = true;
-    attr_on_spec.base.driver.attribution = true;
+    attr_on_spec.base.driver.trace_spans = true;
     const int failures_before_attr = failures;
     std::string attr_off_baseline;
     for (const std::size_t threads : {1u, 4u, 8u}) {

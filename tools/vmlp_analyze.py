@@ -36,10 +36,9 @@ need scope structure and variable types, not line patterns:
                      (DESIGN.md §10): reading collector state back
                      (counter_value, gauge_value, snapshot, registry, events,
                      policy_slices, ...) from src/{sim,sched,mlp,cluster,app,
-                     loadgen} means a metric could feed a decision. Param
-                     getters (ring_engine_events) and the handle-struct
-                     accessors (engine()/driver()/...) are write-path
-                     plumbing, not state reads. The sanctioned read paths —
+                     loadgen} means a metric could feed a decision. The
+                     handle-struct accessors (engine()/driver()/...) are
+                     write-path plumbing, not state reads. The sanctioned read paths —
                      exp/ merge+report, examples, tools — are out of scope.
 
   [engine-lock]      Mutex acquisition inside the sim::Engine hot path: any
