@@ -39,9 +39,6 @@ class InterfaceLayer {
   [[nodiscard]] sched::ActiveRequest* find_request(RequestId id) {
     return driver_->find_request(id);
   }
-  [[nodiscard]] std::vector<RequestId> active_requests() const {
-    return driver_->active_requests();
-  }
   /// Telemetry sink (nullptr when collection is off). Write-only by contract:
   /// modules may record decisions through it but must never read it back into
   /// a decision.

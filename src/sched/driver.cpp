@@ -49,6 +49,17 @@ class PolicyScope {
 };
 }  // namespace
 
+template <typename Call>
+void SimulationDriver::deliver(obs::PolicyCallback kind, Call&& call) {
+  PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), kind, policy_epoch_);
+  call();
+}
+
+void SimulationDriver::cancel_event(sim::EventHandle& handle) {
+  engine_.cancel(handle);
+  handle = {};
+}
+
 SimulationDriver::SimulationDriver(const app::Application& application, IScheduler& scheduler,
                                    DriverParams params)
     : app_(application),
@@ -144,31 +155,11 @@ void SimulationDriver::schedule_next_stream_arrival() {
 }
 
 void SimulationDriver::on_arrival(RequestTypeId type) {
-  const RequestId rid(next_request_++);
-  const auto& rt = app_.request(type);
-  auto ar = std::make_unique<ActiveRequest>(rt, rid, engine_.now());
-  requests_.emplace(rid, std::move(ar));
-  arrival_order_.push_back(rid);
+  const RequestId rid(first_live_id_ + live_.size());
+  live_.push_back(std::make_unique<ActiveRequest>(app_.request(type), rid, engine_.now()));
   tracer_.on_request_arrival(rid, type, engine_.now());
   ++arrived_;
-  {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kArrival,
-                          policy_epoch_);
-    scheduler_.on_request_arrival(rid);
-  }
-}
-
-ActiveRequest* SimulationDriver::find_request(RequestId id) {
-  auto it = requests_.find(id);
-  return it == requests_.end() ? nullptr : it->second.get();
-}
-
-std::vector<RequestId> SimulationDriver::active_requests() const {
-  std::vector<RequestId> out;
-  for (RequestId id : arrival_order_) {
-    if (requests_.count(id) > 0) out.push_back(id);
-  }
-  return out;
+  deliver(obs::PolicyCallback::kArrival, [&] { scheduler_.on_request_arrival(rid); });
 }
 
 std::vector<std::pair<RequestId, std::size_t>> SimulationDriver::running_on(
@@ -199,14 +190,10 @@ void SimulationDriver::audit_machine_conservation(MachineId machine) const {
   };
   std::vector<Window> windows;
   std::vector<SimTime> probes{now};
-  // Walk requests in id order so the float sum below accumulates in a
-  // deterministic order (audit runs must not depend on hash-table history).
-  std::vector<RequestId> ids;
-  ids.reserve(requests_.size());
-  for (const auto& entry : requests_) ids.push_back(entry.first);
-  std::sort(ids.begin(), ids.end());
-  for (const RequestId rid : ids) {
-    const ActiveRequest* ar = requests_.at(rid).get();
+  // The window is in id order, so the float sum below accumulates in a
+  // deterministic order.
+  for (const auto& ar : live_) {
+    if (ar == nullptr) continue;
     for (const DriverNode& dn : ar->nodes) {
       if (!dn.has_reservation || !(dn.machine == machine)) continue;
       const SimTime lo = std::max(dn.reserved_begin, now);
@@ -269,14 +256,7 @@ void SimulationDriver::place(RequestId id, std::size_t node, MachineId machine,
   dn.instance = iid;
   ar->runtime.mark_placed(node, machine, iid, planned_start);
 
-  // Attribution ledger: a re-placement closes the open heal interval (time
-  // since the placement was lost / the retry backoff elapsed).
-  if (params_.trace_spans && dn.heal_from >= 0) {
-    if (engine_.now() > dn.heal_from) {
-      dn.phase_segs.push_back(PhaseSeg{trace::Phase::kHeal, dn.heal_from, engine_.now()});
-    }
-    dn.heal_from = -1;
-  }
+  dn.phases.close_heal(engine_.now());  // time since the placement was lost
 
   const bool is_root = ar->runtime.type().dag().parents(node).empty();
   const bool deps_met = ar->runtime.node(node).pending_parents == 0;
@@ -333,9 +313,8 @@ void SimulationDriver::arm_late_watch(ActiveRequest& ar, std::size_t node) {
     const DriverNode& n = r->nodes[node];
     if (n.running || n.done) return;
     ++counters_.late_events;
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                      policy_epoch_);
-    scheduler_.on_late_invocation(rid, node);
+    deliver(obs::PolicyCallback::kLateInvocation,
+            [&] { scheduler_.on_late_invocation(rid, node); });
   });
 }
 
@@ -382,9 +361,8 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
           wants(Hook::kLateInvocation)) {
         dn.stuck_notified = true;
         ++counters_.late_events;
-        PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kLateInvocation,
-                          policy_epoch_);
-        scheduler_.on_late_invocation(id, node);
+        deliver(obs::PolicyCallback::kLateInvocation,
+                [&] { scheduler_.on_late_invocation(id, node); });
       }
       return;
     }
@@ -420,10 +398,7 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
                   : 1.0;
   dn.last_advance = t;
   dn.running = true;
-  if (dn.late_event.valid()) {
-    engine_.cancel(dn.late_event);
-    dn.late_event = {};
-  }
+  cancel_event(dn.late_event);
 
   if (params_.failure.enabled) {
     if (params_.failure.container_fault_prob > 0.0 &&
@@ -432,21 +407,19 @@ void SimulationDriver::start_node(RequestId id, std::size_t node) {
       const double frac = rng_failure_.uniform(0.05, 0.95);
       const auto fault_delay = std::max<SimDuration>(
           1, static_cast<SimDuration>(static_cast<double>(dn.reserve_duration) * frac));
-      dn.fault_event =
-          engine_.schedule_after(fault_delay, [this, id, node] { container_fault(id, node); });
+      dn.fault_event = engine_.schedule_after(
+          fault_delay, [this, id, node] { kill_running(id, node, counters_.container_faults); });
     }
-    if (params_.failure.invocation_timeout > 0) {
+    if (const SimDuration limit = params_.failure.invocation_timeout; limit > 0) {
       dn.timeout_event = engine_.schedule_after(
-          params_.failure.invocation_timeout, [this, id, node] { invocation_timeout(id, node); });
+          limit, [this, id, node] { kill_running(id, node, counters_.invocation_timeouts); });
     }
   }
 
   running_on_[dn.machine.value()].push_back(RunningRef{id, node, ar});
   recompute_machine(dn.machine);
   if (wants(Hook::kNodeStarted)) {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeStarted,
-                      policy_epoch_);
-    scheduler_.on_node_started(id, node);
+    deliver(obs::PolicyCallback::kNodeStarted, [&] { scheduler_.on_node_started(id, node); });
   }
 }
 
@@ -523,26 +496,17 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   VMLP_CHECK_MSG(dn.remaining_work <= 1.0 + 1e-6,
                  "finish event fired with " << dn.remaining_work << "us of work left");
 
-  dn.running = false;
   dn.done = true;
   cluster_.cells().remove_placement(dn.machine);
-  for (sim::EventHandle* ev : {&dn.finish_event, &dn.fault_event, &dn.timeout_event}) {
-    if (ev->valid()) {
-      engine_.cancel(*ev);
-      *ev = {};
-    }
-  }
-
   // Tear down the container and the remaining reservation window.
-  erase_running(id, node, dn.machine);
-  cluster::Machine& m = cluster_.machine(dn.machine);
-  m.remove_container(dn.container);
+  end_execution(*ar, node);
   release_reservation_tail(*ar, node, t);
   audit_machine_conservation(dn.machine);
   recompute_machine(dn.machine);
 
   const auto& req_node = ar->runtime.type().nodes()[node];
   const SimTime started = ar->runtime.node(node).started_at;
+  const cluster::Machine& m = cluster_.machine(dn.machine);
 
   // Tracing + profiling (Fig. 8's feedback loop). Span retention is optional
   // (DriverParams::trace_spans) — scale runs shed the per-execution memory.
@@ -556,17 +520,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     // trace/critical_path.h for the identity this preserves).
     span.startable_at = dn.startable_at;
     span.blocking_parent = dn.blocking_parent;
-    for (const PhaseSeg& seg : dn.phase_segs) {
-      const SimTime lo = std::max(seg.begin, dn.startable_at);
-      const SimTime hi = std::min(seg.end, started);
-      if (hi <= lo) continue;
-      switch (seg.kind) {
-        case trace::Phase::kLostExec: span.lost_exec_us += hi - lo; break;
-        case trace::Phase::kBackoff: span.backoff_us += hi - lo; break;
-        case trace::Phase::kHeal: span.heal_us += hi - lo; break;
-        default: break;
-      }
-    }
+    dn.phases.stamp(span);
     tracer_.record_span(span);
   }
   trace::ExecutionCase c;
@@ -585,9 +539,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     handle_parent_finished(*ar, child);
   }
   if (wants(Hook::kNodeFinished)) {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeFinished,
-                      policy_epoch_);
-    scheduler_.on_node_finished(id, node);
+    deliver(obs::PolicyCallback::kNodeFinished, [&] { scheduler_.on_node_finished(id, node); });
   }
 
   if (ar->runtime.finished()) {
@@ -605,11 +557,13 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     if (ar->degraded) orphaned_latencies_.add(static_cast<double>(t - ar->runtime.arrival()));
     ++completed_;
     if (wants(Hook::kRequestFinished)) {
-      PolicyScope scope(policy_ns_, policy_depth_, obs_.get(),
-                        obs::PolicyCallback::kRequestFinished, policy_epoch_);
-      scheduler_.on_request_finished(id);
+      deliver(obs::PolicyCallback::kRequestFinished, [&] { scheduler_.on_request_finished(id); });
     }
-    requests_.erase(id);
+    live_[id.value() - first_live_id_].reset();
+    while (!live_.empty() && live_.front() == nullptr) {
+      live_.pop_front();
+      ++first_live_id_;
+    }
     if (params_.trace_release_completed) tracer_.release_request(id);
   }
 }
@@ -661,11 +615,18 @@ void SimulationDriver::resolve_startable(DriverNode& dn) {
   dn.blocking_parent = blocking;
 }
 
-void SimulationDriver::erase_running(RequestId id, std::size_t node, MachineId machine) {
-  auto& vec = running_on_[machine.value()];
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [&](const RunningRef& r) { return r.id == id && r.node == node; }),
-            vec.end());
+void SimulationDriver::end_execution(ActiveRequest& ar, std::size_t node) {
+  DriverNode& dn = ar.nodes[node];
+  dn.running = false;
+  for (sim::EventHandle* ev : {&dn.finish_event, &dn.fault_event, &dn.timeout_event}) {
+    cancel_event(*ev);
+  }
+  const RequestId id = ar.runtime.id();
+  auto& refs = running_on_[dn.machine.value()];
+  refs.erase(std::remove_if(refs.begin(), refs.end(),
+                            [&](const RunningRef& r) { return r.id == id && r.node == node; }),
+             refs.end());
+  cluster_.machine(dn.machine).remove_container(dn.container);
 }
 
 void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t child) {
@@ -676,9 +637,8 @@ void SimulationDriver::handle_parent_finished(ActiveRequest& ar, std::size_t chi
     schedule_start_attempt(ar, child);
   } else {
     ar.runtime.mark_ready(child, engine_.now());
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeUnblocked,
-                          policy_epoch_);
-    scheduler_.on_node_unblocked(ar.runtime.id(), child);
+    deliver(obs::PolicyCallback::kNodeUnblocked,
+            [&] { scheduler_.on_node_unblocked(ar.runtime.id(), child); });
   }
 }
 
@@ -714,15 +674,19 @@ void SimulationDriver::unplace(RequestId id, std::size_t node) {
   DriverNode& dn = ar->nodes[node];
   VMLP_CHECK_MSG(dn.placed && !dn.running && !dn.done,
                  "unplace on a node that is not pending");
-  release_reservation_tail(*ar, node, engine_.now());
-  if (dn.start_event.valid()) {
-    engine_.cancel(dn.start_event);
-    dn.start_event = {};
-  }
-  if (dn.late_event.valid()) {
-    engine_.cancel(dn.late_event);
-    dn.late_event = {};
-  }
+  lose_placement(*ar, node);
+  // Relocation time runs from here to the re-placement (clipped to the final
+  // wait window, so pre-startable relocations vanish).
+  dn.phases.open_heal(engine_.now());
+  ar->runtime.revert_placement(node, engine_.now());
+  audit_machine_conservation(dn.machine);
+}
+
+void SimulationDriver::lose_placement(ActiveRequest& ar, std::size_t node) {
+  DriverNode& dn = ar.nodes[node];
+  release_reservation_tail(ar, node, engine_.now());
+  cancel_event(dn.start_event);
+  cancel_event(dn.late_event);
   dn.placed = false;
   cluster_.cells().remove_placement(dn.machine);
   dn.planned_start = -1;
@@ -732,11 +696,6 @@ void SimulationDriver::unplace(RequestId id, std::size_t node) {
   dn.reserve_duration = 0;
   dn.early_denial_streak = 0;
   dn.stuck_notified = false;
-  // Attribution ledger: relocation time runs from here to the re-placement
-  // (clipped to the final wait window, so pre-startable relocations vanish).
-  if (params_.trace_spans && dn.heal_from < 0) dn.heal_from = engine_.now();
-  ar->runtime.revert_placement(node, engine_.now());
-  audit_machine_conservation(dn.machine);
 }
 
 void SimulationDriver::release_reservation(RequestId id, std::size_t node) {
@@ -811,11 +770,13 @@ void SimulationDriver::crash_machine(MachineId machine) {
     fail_running_node(*ar, ref.node);
   }
 
-  // Void placements waiting to start here. Scan in arrival order — requests_
-  // is unordered and its iteration order must not leak into event order.
-  for (RequestId id : arrival_order_) {
-    ActiveRequest* ar = find_request(id);
+  // Void placements waiting to start here, walking the live window in
+  // arrival order. Callbacks below may place but never complete a request,
+  // so the window keeps its slots during the walk.
+  for (std::size_t slot = 0; slot < live_.size(); ++slot) {
+    ActiveRequest* ar = live_[slot].get();
     if (ar == nullptr) continue;
+    const RequestId id = ar->runtime.id();
     for (std::size_t node = 0; node < ar->nodes.size(); ++node) {
       DriverNode& dn = ar->nodes[node];
       if (!dn.placed || dn.running || dn.done || !(dn.machine == machine)) continue;
@@ -829,9 +790,7 @@ void SimulationDriver::crash_machine(MachineId machine) {
       // Nothing executed, so no retry is charged: deps-met nodes go straight
       // back to the scheduler; the rest re-enter via handle_parent_finished.
       if (ar->runtime.node(node).pending_parents == 0) {
-        PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeOrphaned,
-                          policy_epoch_);
-        scheduler_.on_node_orphaned(id, node);
+        deliver(obs::PolicyCallback::kNodeOrphaned, [&] { scheduler_.on_node_orphaned(id, node); });
       }
     }
   }
@@ -844,8 +803,7 @@ void SimulationDriver::crash_machine(MachineId machine) {
   if (audit::enabled()) {
     VMLP_AUDIT_ASSERT(running_on_[machine.value()].empty(),
                       "crash purge left executions on machine " << machine.value());
-    for (RequestId id : arrival_order_) {
-      const ActiveRequest* ar = find_request(id);
+    for (const auto& ar : live_) {
       if (ar == nullptr) continue;
       for (const DriverNode& dn : ar->nodes) {
         VMLP_AUDIT_ASSERT(!(dn.has_reservation && dn.machine == machine),
@@ -875,37 +833,10 @@ void SimulationDriver::fail_running_node(ActiveRequest& ar, std::size_t node) {
   const SimTime t = engine_.now();
   const MachineId machine = dn.machine;
 
-  for (sim::EventHandle* ev : {&dn.finish_event, &dn.fault_event, &dn.timeout_event,
-                               &dn.start_event, &dn.late_event}) {
-    if (ev->valid()) {
-      engine_.cancel(*ev);
-      *ev = {};
-    }
-  }
-  erase_running(id, node, machine);
-  cluster::Machine& m = cluster_.machine(machine);
-  m.remove_container(dn.container);
-  release_reservation_tail(ar, node, t);
-
-  // Attribution ledger: the voided attempt's execution is lost time.
-  if (params_.trace_spans) {
-    const SimTime attempt_started = ar.runtime.node(node).started_at;
-    if (attempt_started >= 0 && t > attempt_started) {
-      dn.phase_segs.push_back(PhaseSeg{trace::Phase::kLostExec, attempt_started, t});
-    }
-  }
-
-  dn.running = false;
-  dn.placed = false;
-  cluster_.cells().remove_placement(machine);
-  dn.planned_start = -1;
-  dn.startable_at = -1;
-  dn.reserved_begin = -1;
-  dn.reserved_end = -1;
-  dn.reserve_duration = 0;
+  end_execution(ar, node);
+  lose_placement(ar, node);
+  dn.phases.lost_exec(ar.runtime.node(node).started_at, t);  // the voided attempt
   dn.remaining_work = 0.0;  // completed work is lost; retries restart cold
-  dn.early_denial_streak = 0;
-  dn.stuck_notified = false;
   ++dn.attempts;
   ar.degraded = true;
   ++counters_.orphaned_running;
@@ -915,7 +846,9 @@ void SimulationDriver::fail_running_node(ActiveRequest& ar, std::size_t node) {
   }
   ar.runtime.mark_failed(node, t);
   audit_machine_conservation(machine);
-  if (m.up()) recompute_machine(machine);  // survivors re-rate on the freed capacity
+  if (cluster_.machine(machine).up()) {
+    recompute_machine(machine);  // survivors re-rate on the freed capacity
+  }
 
   schedule_retry(ar, node);
 }
@@ -938,13 +871,7 @@ void SimulationDriver::schedule_retry(ActiveRequest& ar, std::size_t node) {
   const auto backoff = std::max<SimDuration>(
       1, static_cast<SimDuration>(
              std::llround(static_cast<double>(params_.failure.retry_backoff_base) * factor)));
-  // Attribution ledger: the backoff interval, then an open heal interval
-  // until the next placement commits (closed in place()).
-  if (params_.trace_spans) {
-    dn.phase_segs.push_back(
-        PhaseSeg{trace::Phase::kBackoff, engine_.now(), engine_.now() + backoff});
-    dn.heal_from = engine_.now() + backoff;
-  }
+  dn.phases.backoff(engine_.now(), engine_.now() + backoff);
   const RequestId id = ar.runtime.id();
   engine_.schedule_after(backoff, [this, id, node] {
     ActiveRequest* r = find_request(id);
@@ -952,30 +879,17 @@ void SimulationDriver::schedule_retry(ActiveRequest& ar, std::size_t node) {
     const DriverNode& n = r->nodes[node];
     if (n.placed || n.running || n.done || n.abandoned) return;
     if (r->runtime.node(node).pending_parents != 0) return;  // re-enters via parents
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kNodeOrphaned,
-                          policy_epoch_);
-    scheduler_.on_node_orphaned(id, node);
+    deliver(obs::PolicyCallback::kNodeOrphaned, [&] { scheduler_.on_node_orphaned(id, node); });
   });
 }
 
-void SimulationDriver::container_fault(RequestId id, std::size_t node) {
+void SimulationDriver::kill_running(RequestId id, std::size_t node, std::size_t& counter) {
   ActiveRequest* ar = find_request(id);
   if (ar == nullptr) return;
-  DriverNode& dn = ar->nodes[node];
+  const DriverNode& dn = ar->nodes[node];
   if (!dn.running || dn.done) return;
-  dn.fault_event = {};  // this event just fired; don't cancel a stale handle
-  ++counters_.container_faults;
-  fail_running_node(*ar, node);
-}
-
-void SimulationDriver::invocation_timeout(RequestId id, std::size_t node) {
-  ActiveRequest* ar = find_request(id);
-  if (ar == nullptr) return;
-  DriverNode& dn = ar->nodes[node];
-  if (!dn.running || dn.done) return;
-  dn.timeout_event = {};
-  ++counters_.invocation_timeouts;
-  fail_running_node(*ar, node);
+  ++counter;
+  fail_running_node(*ar, node);  // the fired event's stale handle cancels as a no-op
 }
 
 RunResult SimulationDriver::run() {
@@ -993,9 +907,7 @@ RunResult SimulationDriver::run() {
   schedule_next_interference();
   schedule_failures();
   engine_.schedule_periodic(params_.tick, params_.tick, [this] {
-    PolicyScope scope(policy_ns_, policy_depth_, obs_.get(), obs::PolicyCallback::kTick,
-                          policy_epoch_);
-    scheduler_.on_tick();
+    deliver(obs::PolicyCallback::kTick, [&] { scheduler_.on_tick(); });
   });
   if (params_.ledger_compact_period > 0) {
     engine_.schedule_periodic(params_.ledger_compact_period, params_.ledger_compact_period,
@@ -1010,12 +922,12 @@ RunResult SimulationDriver::run() {
   RunResult result;
   result.arrived = arrived_;
   result.completed = completed_;
-  for (RequestId id : active_requests()) {
-    const ActiveRequest& ar = *requests_.at(id);
-    qos_.record_unfinished(ar.runtime.type().id());
+  for (const auto& ar : live_) {
+    if (ar == nullptr) continue;
+    qos_.record_unfinished(ar->runtime.type().id());
     ++result.unfinished;
     bool abandoned = false;
-    for (const DriverNode& dn : ar.nodes) abandoned = abandoned || dn.abandoned;
+    for (const DriverNode& dn : ar->nodes) abandoned = abandoned || dn.abandoned;
     if (abandoned) ++result.abandoned_requests;
   }
   result.qos_violation_rate = qos_.violation_rate();

@@ -26,9 +26,9 @@
 #pragma once
 
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "app/application.h"
@@ -112,15 +112,6 @@ struct ParentMsg {
   SimTime finish;        ///< caller finish time
 };
 
-/// One disjoint wall-clock interval a node spent in a failure-induced phase
-/// (attribution ledger; recorded only when trace_spans is on, clipped to the
-/// final wait window when the span is emitted).
-struct PhaseSeg {
-  trace::Phase kind;
-  SimTime begin;
-  SimTime end;
-};
-
 /// Per-node driver state (mechanism-side; policy state stays in schedulers).
 struct DriverNode {
   bool placed = false;
@@ -142,11 +133,8 @@ struct DriverNode {
   /// trace::Span::kNoNode for roots.
   std::uint32_t blocking_parent = trace::Span::kNoNode;
   /// Failure-phase intervals accrued across lost attempts (attribution
-  /// ledger; empty on the no-failure fast path).
-  ArenaVector<PhaseSeg> phase_segs;
-  /// Open heal interval: set when the node loses its placement (relocation,
-  /// crash void) or finishes a retry backoff; closed at the next place().
-  SimTime heal_from = -1;
+  /// ledger; empty on the no-failure path), stamped onto the final span.
+  trace::PhaseLedger phases;
   sim::EventHandle start_event;
   sim::EventHandle late_event;
 
@@ -260,9 +248,13 @@ class SimulationDriver {
   [[nodiscard]] obs::Collector* observer() { return obs_.get(); }
   [[nodiscard]] const obs::Collector* observer() const { return obs_.get(); }
 
-  [[nodiscard]] ActiveRequest* find_request(RequestId id);
-  /// Unfinished requests in arrival order.
-  [[nodiscard]] std::vector<RequestId> active_requests() const;
+  /// The live request `id`, or nullptr once it completed (or was never
+  /// issued). Inline: every scheduler calls it per event.
+  [[nodiscard]] ActiveRequest* find_request(RequestId id) {
+    // Ids below the window wrap to a huge offset and miss the bounds check.
+    const std::uint64_t slot = id.value() - first_live_id_;
+    return slot < live_.size() ? live_[slot].get() : nullptr;
+  }
   /// Running (request, node) pairs currently executing on a machine. Throws
   /// InvariantError for a machine id outside the cluster.
   [[nodiscard]] std::vector<std::pair<RequestId, std::size_t>> running_on(MachineId machine) const;
@@ -358,8 +350,19 @@ class SimulationDriver {
   /// reservation released, runtime state back to ready, retry scheduled.
   void fail_running_node(ActiveRequest& ar, std::size_t node);
   void schedule_retry(ActiveRequest& ar, std::size_t node);
-  void container_fault(RequestId id, std::size_t node);
-  void invocation_timeout(RequestId id, std::size_t node);
+  /// A container-fault or timeout event fired for (id, node): if the node is
+  /// still running, bump `counter` and fail the execution.
+  void kill_running(RequestId id, std::size_t node, std::size_t& counter);
+  /// The node loses its placement: reservation tail released, pending start
+  /// and late watch cancelled, placement fields cleared, cell placement
+  /// dropped. Running state and the runtime record are the caller's.
+  void lose_placement(ActiveRequest& ar, std::size_t node);
+  /// Cancel `handle` if still pending and clear it.
+  void cancel_event(sim::EventHandle& handle);
+  /// Deliver one scheduler callback (`call`) inside a PolicyScope, the one
+  /// place policy host time is measured.
+  template <typename Call>
+  void deliver(obs::PolicyCallback kind, Call&& call);
   void schedule_start_attempt(ActiveRequest& ar, std::size_t node);
   /// Arm (or move) the node's late watch at its planned start, if the
   /// scheduler subscribed to Hook::kLateInvocation and that time has not
@@ -372,8 +375,10 @@ class SimulationDriver {
   /// completion messages (one comm-delay draw per message, in message
   /// order) and the blocking parent that bounded it.
   void resolve_startable(DriverNode& dn);
-  /// Drop (id, node) from its machine's running list.
-  void erase_running(RequestId id, std::size_t node, MachineId machine);
+  /// A running node's execution ends (finish or failure): pending finish,
+  /// fault and timeout events cancelled, dropped from its machine's running
+  /// list, container destroyed.
+  void end_execution(ActiveRequest& ar, std::size_t node);
   /// Re-rate all running instances on a machine and reschedule their finishes.
   void recompute_machine(MachineId machine);
   void advance_instance(DriverNode& dn, SimTime to);
@@ -412,8 +417,8 @@ class SimulationDriver {
 
   /// One running instance on a machine. Caches the ActiveRequest pointer so
   /// the per-firing re-rate loop in recompute_machine() skips the request
-  /// hash lookup; the pointer is stable (requests_ holds unique_ptrs) and the
-  /// entry is removed in finish_node() before the request itself is erased.
+  /// lookup; the pointer is stable (live_ holds unique_ptrs) and the entry
+  /// is removed in finish_node() before the request itself is released.
   struct RunningRef {
     RequestId id;
     std::size_t node;
@@ -425,15 +430,20 @@ class SimulationDriver {
   Rng rng_failure_;       // per-invocation fault draws (schedule has its own)
   std::vector<FailureWindow> failure_schedule_;
   stats::SampleSet orphaned_latencies_;
-  std::unordered_map<RequestId, std::unique_ptr<ActiveRequest>> requests_;
+  /// The request table: live requests in arrival order, slot i holding
+  /// request first_live_id_ + i. Ids are issued only by on_arrival, so id
+  /// order is arrival order and the next id is first_live_id_ +
+  /// live_.size(). A completed request nulls its slot; null slots are popped
+  /// off the front, so an unfinished (e.g. abandoned) request pins the
+  /// window's front until the horizon.
+  std::deque<std::unique_ptr<ActiveRequest>> live_;
+  std::uint64_t first_live_id_ = 0;
   /// Running instances per machine, indexed by machine id (sized once).
   std::vector<std::vector<RunningRef>> running_on_;
   /// V_r per request type id, precomputed once: the lookup is hot in the
   /// self-organizing module's per-placement scoring and was previously
   /// recomputed from the service classes on every call.
   std::vector<double> volatility_cache_;
-  std::vector<RequestId> arrival_order_;
-  std::uint64_t next_request_ = 0;
   std::uint64_t next_instance_ = 0;
   std::uint64_t next_container_ = 0;
   std::size_t arrived_ = 0;

@@ -31,6 +31,20 @@ bool CriticalPathResult::on_path(std::uint32_t node) const {
   return false;
 }
 
+void PhaseLedger::stamp(Span& span) const {
+  for (const Segment& seg : segments_) {
+    const SimTime lo = std::max(seg.begin, span.startable_at);
+    const SimTime hi = std::min(seg.end, span.start);
+    if (hi <= lo) continue;
+    switch (seg.kind) {
+      case Phase::kLostExec: span.lost_exec_us += hi - lo; break;
+      case Phase::kBackoff: span.backoff_us += hi - lo; break;
+      case Phase::kHeal: span.heal_us += hi - lo; break;
+      default: break;
+    }
+  }
+}
+
 namespace {
 
 /// Decompose one chain step given the end of its predecessor on the chain.
@@ -112,8 +126,9 @@ CriticalPathResult extract_critical_path(SimTime arrival, SimTime completion,
   }
 
   // Off-path slack: finish-to-unblock gap towards the earliest dependent.
+  // `visited` marks exactly the chain's nodes.
   for (const Span* s : spans) {
-    if (s->node == Span::kNoNode || result.on_path(s->node)) continue;
+    if (s->node == Span::kNoNode || visited[s->node]) continue;
     SimDuration slack = completion - s->end;
     if (dag != nullptr && s->node < dag->node_count()) {
       for (const std::size_t child : dag->children(s->node)) {

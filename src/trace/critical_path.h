@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "app/dag.h"
+#include "common/arena.h"
 #include "trace/span.h"
 #include "trace/tracer.h"
 
@@ -60,6 +61,57 @@ inline constexpr std::size_t kPhaseCount = 6;
 /// Stable snake_case name ("network", "queue", "exec", "lost_exec",
 /// "backoff", "heal") — used for report columns and metric-name suffixes.
 [[nodiscard]] const char* phase_name(Phase p);
+
+/// One invocation's failure-phase record, kept while it waits: the disjoint
+/// intervals it lost to voided executions, retry backoff and heal (waiting
+/// for a replacement placement) across attempts. When the final attempt
+/// starts, stamp() clips them to the span's wait window [startable_at,
+/// start] — in lost_exec, backoff, heal order — so the span's phases
+/// telescope exactly; queue time is the residual. Every write is O(1) and
+/// happens only on a failure or relocation path; empty on the no-failure
+/// path.
+class PhaseLedger {
+ public:
+  /// The invocation lost its placement at `now`: heal time runs from here
+  /// until the next close_heal() (an already-open interval keeps its start).
+  void open_heal(SimTime now) {
+    if (heal_from_ < 0) heal_from_ = now;
+  }
+  /// A placement committed at `now`: close the open heal interval, if any.
+  void close_heal(SimTime now) {
+    if (heal_from_ < 0) return;
+    add(Phase::kHeal, heal_from_, now);
+    heal_from_ = -1;
+  }
+  /// An attempt that started at `started` (-1: never started) was voided at
+  /// `now`: its execution is lost time.
+  void lost_exec(SimTime started, SimTime now) {
+    if (started >= 0) add(Phase::kLostExec, started, now);
+  }
+  /// A retry waits out [now, until); heal time then runs from `until` until
+  /// the next placement.
+  void backoff(SimTime now, SimTime until) {
+    add(Phase::kBackoff, now, until);
+    heal_from_ = until;
+  }
+  /// Fill `span`'s lost_exec_us / backoff_us / heal_us from the recorded
+  /// intervals, clipped to [span.startable_at, span.start].
+  void stamp(Span& span) const;
+
+ private:
+  struct Segment {
+    Phase kind;
+    SimTime begin;
+    SimTime end;
+  };
+  void add(Phase kind, SimTime begin, SimTime end) {
+    if (end > begin) segments_.push_back(Segment{kind, begin, end});
+  }
+
+  /// Arena-backed: one short-lived vector per failed DAG node.
+  ArenaVector<Segment> segments_;
+  SimTime heal_from_ = -1;  ///< start of the open heal interval, -1 when closed
+};
 
 /// One span on the blocking chain with its phase decomposition. The phase
 /// durations sum to `span->end - pred_end` (pred_end = the previous step's

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -319,6 +321,181 @@ TEST(Driver, MonitorSampledDuringRun) {
   EXPECT_GE(driver.cluster_monitor().sample_count(), 45u);
   EXPECT_GE(driver.cluster_monitor().mean_overall(), 0.0);
   EXPECT_LE(driver.cluster_monitor().mean_overall(), 1.0);
+}
+
+// ---- request table and node lifecycle -------------------------------------
+
+TEST(DriverRequests, FindRequestCoversOnlyTheLiveWindow) {
+  auto application = make_chain_app();
+  ScriptedScheduler sched;
+  DriverParams params = small_params();
+  params.horizon = 200 * kMsec;
+  SimulationDriver driver(*application, sched, params);
+  EXPECT_EQ(driver.find_request(RequestId(0)), nullptr);  // nothing issued yet
+  // Request 0 completes; request 1 arrives too late to finish.
+  driver.load_arrivals({{kMsec, RequestTypeId(0)}, {params.horizon - kMsec, RequestTypeId(0)}});
+  const RunResult result = driver.run();
+  ASSERT_EQ(result.completed, 1u);
+  ASSERT_EQ(result.unfinished, 1u);
+  EXPECT_EQ(driver.find_request(RequestId(0)), nullptr);  // completed: below the window
+  ASSERT_NE(driver.find_request(RequestId(1)), nullptr);  // still live
+  EXPECT_EQ(driver.find_request(RequestId(1))->runtime.id(), RequestId(1));
+  EXPECT_EQ(driver.find_request(RequestId(2)), nullptr);  // never issued
+  EXPECT_EQ(driver.find_request(RequestId(1000)), nullptr);
+}
+
+/// The placement-related fields of a node, as one comparable line.
+std::string placement_state(const ActiveRequest& ar, std::size_t node) {
+  const DriverNode& dn = ar.nodes[node];
+  std::ostringstream out;
+  out << "placed=" << dn.placed << " running=" << dn.running << " done=" << dn.done
+      << " planned_start=" << dn.planned_start << " startable_at=" << dn.startable_at
+      << " reserved=[" << dn.reserved_begin << "," << dn.reserved_end << ")"
+      << " reserve_duration=" << dn.reserve_duration
+      << " has_reservation=" << dn.has_reservation
+      << " start_event=" << dn.start_event.valid() << " late_event=" << dn.late_event.valid()
+      << " finish_event=" << dn.finish_event.valid()
+      << " fault_event=" << dn.fault_event.valid()
+      << " timeout_event=" << dn.timeout_event.valid()
+      << " early_denial_streak=" << dn.early_denial_streak
+      << " stuck_notified=" << dn.stuck_notified
+      << " state=" << app::node_state_name(ar.runtime.node(node).state);
+  return out.str();
+}
+
+/// Places every arriving request's root on machine 0 and records what the
+/// driver hands back: orphaned nodes in delivery order, each node's
+/// placement state at that moment, and whether request 0 was still live
+/// while request 1 had already left the table.
+class LifecycleProbe : public IScheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "lifecycle-probe"; }
+  void on_request_arrival(RequestId id) override {
+    ActiveRequest* ar = driver_->find_request(id);
+    const auto& svc = driver_->application().service(ar->runtime.type().nodes()[0].service);
+    driver_->place(id, 0, MachineId(0), svc.demand, driver_->now(), 50 * kMsec);
+    if (unplace_on_arrival) {
+      driver_->unplace(id, 0);
+      states.push_back(placement_state(*ar, 0));
+    }
+  }
+  void on_node_unblocked(RequestId, std::size_t) override {}
+  void on_tick() override {}
+  void on_node_orphaned(RequestId id, std::size_t node) override {
+    // Left unplaced: the machine may be down.
+    orphaned.push_back(id);
+    states.push_back(placement_state(*driver_->find_request(id), node));
+    front_pinned_over_hole = front_pinned_over_hole ||
+                             (driver_->find_request(RequestId(0)) != nullptr &&
+                              driver_->find_request(RequestId(1)) == nullptr);
+  }
+
+  bool unplace_on_arrival = false;
+  std::vector<RequestId> orphaned;
+  std::vector<std::string> states;
+  bool front_pinned_over_hole = false;
+};
+
+/// Request type 0 runs ~500 ms, type 1 ~5 ms; both single-node.
+std::unique_ptr<app::Application> make_slow_fast_app() {
+  auto application = std::make_unique<app::Application>("slow-fast");
+  const auto slow = application->add_service("slow", {1000, 256, 50}, 500 * kMsec,
+                                             app::ServiceClass{1, 1, 1},
+                                             app::ResourceIntensity::kCpu);
+  const auto fast = application->add_service("fast", {1000, 256, 50}, 5 * kMsec,
+                                             app::ServiceClass{1, 1, 1},
+                                             app::ResourceIntensity::kCpu);
+  application->build_request("slow").node(slow).commit();
+  application->build_request("fast").node(fast).commit();
+  return application;
+}
+
+/// One machine under a crash schedule; a 50 ms invocation timeout with no
+/// retry budget abandons every slow request.
+DriverParams one_machine_crash_params() {
+  DriverParams p = small_params();
+  p.cluster.machine_count = 1;
+  p.machines_per_rack = 1;
+  p.seed = 4;
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 0.3;
+  p.failure.recovery_mean = 200 * kMsec;
+  p.failure.invocation_timeout = 50 * kMsec;
+  p.failure.max_retries = 0;
+  return p;
+}
+
+TEST(DriverRequests, CrashPurgeVoidsInArrivalOrderBehindAnAbandonedFront) {
+  auto application = make_slow_fast_app();
+  const DriverParams p = one_machine_crash_params();
+  const auto windows = build_failure_schedule(p.failure, p.seed, p.horizon, 1);
+  ASSERT_FALSE(windows.empty());
+  const SimTime crash = windows.front().down_at;
+  ASSERT_GT(crash, 500 * kMsec);
+  // Request 0 (slow) is abandoned by its timeout, 1 and 2 complete, and 3..6
+  // arrive at the crash instant: their arrival events precede the crash
+  // event, so each root is placed and waiting for its ingress message when
+  // the machine goes down.
+  std::vector<loadgen::Arrival> arrivals = {{crash - 400 * kMsec, RequestTypeId(0)},
+                                            {crash - 300 * kMsec, RequestTypeId(1)},
+                                            {crash - 290 * kMsec, RequestTypeId(1)}};
+  for (int i = 0; i < 4; ++i) arrivals.push_back({crash, RequestTypeId(1)});
+  LifecycleProbe probe;
+  SimulationDriver driver(*application, probe, p);
+  driver.load_arrivals(arrivals);
+  const RunResult result = driver.run();
+
+  EXPECT_EQ(result.abandoned_requests, 1u);
+  EXPECT_EQ(result.completed, 2u);
+  EXPECT_EQ(driver.counters().orphaned_pending, 4u);
+  EXPECT_EQ(probe.orphaned,
+            (std::vector<RequestId>{RequestId(3), RequestId(4), RequestId(5), RequestId(6)}));
+  EXPECT_TRUE(probe.front_pinned_over_hole);
+  ASSERT_NE(driver.find_request(RequestId(0)), nullptr);
+  EXPECT_TRUE(driver.find_request(RequestId(0))->nodes[0].abandoned);
+}
+
+TEST(DriverRequests, UnplaceCrashVoidAndFaultLeaveTheSameUnplacedState) {
+  auto application = make_slow_fast_app();
+
+  LifecycleProbe unplaced;  // the scheduler undoes its own placement
+  unplaced.unplace_on_arrival = true;
+  {
+    SimulationDriver driver(*application, unplaced, small_params());
+    driver.load_arrivals({{kMsec, RequestTypeId(1)}});
+    driver.run();
+  }
+
+  LifecycleProbe voided;  // a crash voids the waiting placement
+  {
+    const DriverParams p = one_machine_crash_params();
+    const SimTime crash = build_failure_schedule(p.failure, p.seed, p.horizon, 1).front().down_at;
+    SimulationDriver driver(*application, voided, p);
+    driver.load_arrivals({{crash, RequestTypeId(1)}});
+    driver.run();
+  }
+
+  LifecycleProbe faulted;  // a container fault kills the (slow) execution
+  {
+    DriverParams p = small_params();
+    p.failure.enabled = true;
+    p.failure.crashes_per_second = 0.0;
+    p.failure.container_fault_prob = 1.0;
+    SimulationDriver driver(*application, faulted, p);
+    driver.load_arrivals({{kMsec, RequestTypeId(0)}});
+    driver.run();
+    EXPECT_GT(driver.counters().container_faults, 0u);
+  }
+
+  ASSERT_FALSE(unplaced.states.empty());
+  ASSERT_FALSE(voided.states.empty());
+  ASSERT_FALSE(faulted.states.empty());
+  EXPECT_EQ(unplaced.states.front(),
+            "placed=0 running=0 done=0 planned_start=-1 startable_at=-1 reserved=[-1,-1) "
+            "reserve_duration=0 has_reservation=0 start_event=0 late_event=0 finish_event=0 "
+            "fault_event=0 timeout_event=0 early_denial_streak=0 stuck_notified=0 state=ready");
+  EXPECT_EQ(voided.states.front(), unplaced.states.front());
+  EXPECT_EQ(faulted.states.front(), unplaced.states.front());
 }
 
 /// A forwarding wrapper shaped like the benchmark's policy probe: it

@@ -46,7 +46,7 @@ TEST(InterfaceLayer, ForwardsMonitorsAndMetadata) {
   EXPECT_LT(iface.expected_comm(MachineId(0), MachineId(0)),
             iface.expected_comm(MachineId(0), MachineId(3)));
   EXPECT_TRUE(iface.running_on(MachineId(0)).empty());
-  EXPECT_TRUE(iface.active_requests().empty());
+  EXPECT_EQ(iface.find_request(RequestId(0)), nullptr);
 
   const auto compose = *application->find_request("compose-post");
   EXPECT_NEAR(iface.volatility(compose), application->volatility(compose), 1e-12);

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "trace/critical_path.h"
 #include "trace/profile_store.h"
 #include "trace/tracer.h"
 
@@ -233,6 +234,63 @@ TEST_F(ProfileStoreTest, ZeroCapacityThrows) { EXPECT_THROW(ProfileStore(0), Inv
 TEST_F(ProfileStoreTest, NegativeExecTimeThrows) {
   ProfileStore store;
   EXPECT_THROW(store.record(svc_, req_, make_case(-1)), InvariantError);
+}
+
+// ---- failure-phase ledger -------------------------------------------------
+
+Span waited_span(SimTime startable_at, SimTime start) {
+  Span s;
+  s.startable_at = startable_at;
+  s.start = start;
+  s.end = start + 10;
+  return s;
+}
+
+TEST(PhaseLedger, EmptyLedgerStampsNothing) {
+  PhaseLedger ledger;
+  Span s = waited_span(100, 500);
+  ledger.stamp(s);
+  EXPECT_EQ(s.lost_exec_us, 0);
+  EXPECT_EQ(s.backoff_us, 0);
+  EXPECT_EQ(s.heal_us, 0);
+}
+
+TEST(PhaseLedger, RetryCycleClipsToTheFinalWaitWindow) {
+  // Attempt ran [100, 400) and died; backoff [400, 450); heal until the
+  // re-placement at 480. The final attempt became startable at 200 and
+  // started at 600, so the lost execution before 200 falls outside.
+  PhaseLedger ledger;
+  ledger.lost_exec(100, 400);
+  ledger.backoff(400, 450);
+  ledger.close_heal(480);
+  Span s = waited_span(200, 600);
+  ledger.stamp(s);
+  EXPECT_EQ(s.lost_exec_us, 200);
+  EXPECT_EQ(s.backoff_us, 50);
+  EXPECT_EQ(s.heal_us, 30);
+}
+
+TEST(PhaseLedger, HealKeepsTheFirstLossAndCloses) {
+  PhaseLedger ledger;
+  ledger.open_heal(100);
+  ledger.open_heal(150);  // still waiting since 100
+  ledger.close_heal(300);
+  ledger.close_heal(400);  // nothing open: no second interval
+  Span s = waited_span(0, 1000);
+  ledger.stamp(s);
+  EXPECT_EQ(s.heal_us, 200);
+}
+
+TEST(PhaseLedger, NeverStartedAttemptsAndEmptyIntervalsAddNothing) {
+  PhaseLedger ledger;
+  ledger.lost_exec(-1, 300);  // the attempt never started
+  ledger.lost_exec(300, 300);
+  ledger.open_heal(500);
+  ledger.close_heal(500);  // re-placed in the same instant
+  Span s = waited_span(0, 1000);
+  ledger.stamp(s);
+  EXPECT_EQ(s.lost_exec_us, 0);
+  EXPECT_EQ(s.heal_us, 0);
 }
 
 }  // namespace

@@ -11,8 +11,9 @@ in a Release library means a call per probe came back. That happens when a
 body moves back into a .cpp file, or when a check at the call site grows a
 message stream big enough that the compiler declines to inline (see
 common/error.h). The driver's hook-subscription test,
-`SimulationDriver::wants`, runs on every node start and finish and is
-guarded the same way.
+`SimulationDriver::wants`, runs on every node start and finish, and its
+request-table lookup, `SimulationDriver::find_request`, runs in every
+scheduler callback; both are guarded the same way.
 
 The check runs `nm -C --defined-only` over the given static libraries and
 lists every hot function that still has a `T` or `W` definition. The cold
@@ -49,6 +50,7 @@ HOT_FUNCTIONS = (
     "vmlp::app::Application::service",
     "vmlp::sched::SimulationDriver::expected_comm",
     "vmlp::sched::SimulationDriver::wants",
+    "vmlp::sched::SimulationDriver::find_request",
     "vmlp::cluster::Cluster::machine",
     "vmlp::net::Topology::rack_of",
 )
