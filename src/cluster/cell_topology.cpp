@@ -78,13 +78,19 @@ void CellTopology::ranked_cells(std::vector<std::size_t>& out) const {
 void CellTopology::note_mutation(MachineId m, const Machine& machine) {
   const std::size_t i = m.value();
   VMLP_CHECK_MSG(i < machine_count(), "note_mutation machine id out of range");
-  free_frac_[i] = machine.ledger().free_fraction();  // O(1): cached peak bound
+  const double before = free_frac_[i];
+  const double after = machine.ledger().free_fraction();  // O(1): cached peak bound
+  free_frac_[i] = after;
   seen_epoch_[i] = machine.ledger().version();
   const std::size_t b = i >> kBlockShift;
   if (block_folded_[b] == 0) return;  // first query folds the whole block
-  // A max-only fold can't be maintained in O(1) because a release may lower
-  // the current maximum, so refold the block's 32 cached fractions.
-  fold_block_max(b);
+  // The max stays exact in O(1) unless the machine that held it fell: only
+  // then can the new maximum be another member's, so refold the block.
+  if (after >= block_free_max_[b]) {
+    block_free_max_[b] = after;
+  } else if (before == block_free_max_[b]) {
+    fold_block_max(b);
+  }
 }
 
 double CellTopology::fold_block_max(std::size_t b) const {
@@ -103,8 +109,10 @@ double CellTopology::refresh_block(const Cluster& cluster, std::size_t b) const 
     // Push-maintained: the cached max is current by the driver's
     // notification discipline. The audit tier proves that discipline — a
     // ledger that moved without note_mutation fails loudly here instead of
-    // silently degrading the jump hint.
+    // silently degrading the jump hint — and that note_mutation's
+    // incremental upkeep left the max a fresh fold would give.
     if (::vmlp::audit::enabled()) {
+      double mx = 0.0;
       for (std::size_t i = lo; i < hi; ++i) {
         const auto& led = cluster.machine(MachineId(static_cast<std::uint32_t>(i))).ledger();
         VMLP_AUDIT_ASSERT(led.version() == seen_epoch_[i],
@@ -112,7 +120,11 @@ double CellTopology::refresh_block(const Cluster& cluster, std::size_t b) const 
                               << i << " mutated (ledger epoch " << led.version()
                               << ", summary saw " << seen_epoch_[i]
                               << ") without CellTopology::note_mutation");
+        mx = std::max(mx, free_frac_[i]);
       }
+      VMLP_AUDIT_ASSERT(mx == block_free_max_[b], "headroom block " << b << " max "
+                                                      << block_free_max_[b]
+                                                      << " differs from its fold " << mx);
     }
     return block_free_max_[b];
   }

@@ -7,11 +7,10 @@
 //    starts in the least-loaded cell and sheds to the next when one
 //    saturates, keeping the per-decision search bounded by a cell, not the
 //    cluster; and
-//  * a *headroom summary index* — the per-32-segment max/min block index the
-//    reservation ledger uses, lifted one level up: per cell, a per-32-machine
-//    block max over each machine's guaranteed free fraction
+//  * a *headroom summary index* — per cell, a per-32-machine block max
+//    over each machine's guaranteed free fraction
 //    (ReservationLedger::free_fraction — an O(1) read of the ledger's
-//    maintained peak bound, deliberately NOT an index rebuild; see its
+//    maintained peak bound, deliberately NOT a peak refresh; see its
 //    declaration). The fraction is a sound lower bound, so a block whose
 //    cached max admits a demand provably contains a machine where the demand
 //    fits at every time, and machine selection can jump straight to it
@@ -56,8 +55,8 @@ class CellTopology {
   /// the order of magnitude of the paper's 100-machine evaluation cell while
   /// keeping per-cell scans comfortably cache-resident.
   static constexpr std::size_t kAutoCellTarget = 256;
-  /// Machines per headroom-index block — same granularity as the ledger's
-  /// per-32-segment index (its kBlockShift), reused one level up.
+  /// Machines per headroom-index block: short enough that a member scan
+  /// stays cheap, long enough that a cell walk skips most machines.
   static constexpr std::size_t kBlockShift = 5;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
   /// "No candidate" sentinel from first_fit_candidate.
@@ -101,9 +100,10 @@ class CellTopology {
   }
   /// Push-maintain the headroom index: the driver calls this immediately
   /// after every reserve/release it issues on `machine`'s ledger, and the
-  /// index caches the machine's (now O(1)) free_fraction plus a refold of
-  /// its 32-entry block max over the cached fractions — so the *query* path
-  /// touches no ledger state at all. A missed call site would leave a stale
+  /// index caches the machine's (O(1)) free_fraction and keeps its block max
+  /// exact — raised in O(1), refolded over the 32 cached fractions only when
+  /// the machine that held the max fell — so the *query* path touches no
+  /// ledger state at all. A missed call site would leave a stale
   /// summary; that is advisory-only (admission re-validates every candidate
   /// with the exact ledger query, so decisions stay correct — only the jump
   /// hint quality degrades) and loud under the audit tier, where
@@ -148,7 +148,7 @@ class CellTopology {
   /// member from its ledger; afterwards the cached max is simply read —
   /// note_mutation keeps it current. Under the audit tier, re-validates the
   /// cached epochs against ledger versions (catches a mutation site that
-  /// forgot to notify).
+  /// forgot to notify) and the cached max against a fresh fold.
   double refresh_block(const Cluster& cluster, std::size_t b) const;
   /// Refold block b's max over the cached member fractions (no ledger
   /// touches) into block_free_max_ and return it.

@@ -31,7 +31,7 @@ ReservationLedger::ReservationLedger(ResourceVector capacity) : capacity_(capaci
 }
 
 // --------------------------------------------------------------------------
-// Sorted segment vector + lazy coarse index.
+// Sorted segment vector + prefix-folded peak.
 // --------------------------------------------------------------------------
 
 double ReservationLedger::headroom_of(const ResourceVector& level) const {
@@ -56,17 +56,35 @@ bool ReservationLedger::segment_blocks(const Segment& s, const ResourceVector& r
   return !(s.level + r).fits_within(capacity_);
 }
 
+template <class Before>
+std::size_t ReservationLedger::partition_from_end(Before before) const {
+  // Writes and queries land at or after "now", a few segments from the end
+  // of a vector that also holds the run's recent history: probe back from
+  // the end at distances 1, 2, 4, ... until a segment satisfies `before`,
+  // then binary-search the bracket. Everything at or after `hi` fails
+  // `before` throughout.
+  std::size_t hi = segs_.size();
+  for (std::size_t step = 1; hi > 0; step <<= 1) {
+    const std::size_t probe = hi > step ? hi - step : 0;
+    if (before(segs_[probe])) {
+      const auto first = segs_.begin() + static_cast<std::ptrdiff_t>(probe) + 1;
+      const auto last = segs_.begin() + static_cast<std::ptrdiff_t>(hi);
+      return static_cast<std::size_t>(std::partition_point(first, last, before) -
+                                      segs_.begin());
+    }
+    hi = probe;
+  }
+  return 0;
+}
+
 std::size_t ReservationLedger::lower_index(SimTime t) const {
-  const auto it = std::lower_bound(segs_.begin(), segs_.end(), t,
-                                   [](const Segment& s, SimTime v) { return s.start < v; });
-  return static_cast<std::size_t>(it - segs_.begin());
+  return partition_from_end([t](const Segment& s) { return s.start < t; });
 }
 
 std::size_t ReservationLedger::covering_index(SimTime t) const {
-  const auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
-                                   [](SimTime v, const Segment& s) { return v < s.start; });
-  VMLP_CHECK_MSG(it != segs_.begin(), "time " << t << " precedes ledger origin");
-  return static_cast<std::size_t>(it - segs_.begin()) - 1;
+  const std::size_t after = partition_from_end([t](const Segment& s) { return s.start <= t; });
+  VMLP_CHECK_MSG(after != 0, "time " << t << " precedes ledger origin");
+  return after - 1;
 }
 
 std::size_t ReservationLedger::hinted_covering_index(SimTime t,
@@ -74,9 +92,9 @@ std::size_t ReservationLedger::hinted_covering_index(SimTime t,
   // A usable hint names a segment starting at or before t *in the current
   // profile* — checked here, so callers may carry hints across mutations.
   // When it holds, the covering segment lies at or after the hint: walk
-  // forward to the last segment with start <= t — the same index the binary
-  // search would find. A hint left far behind by mutations would make that
-  // walk worse than the O(log n) search, so bail out after a few steps.
+  // forward to the last segment with start <= t — the same index the search
+  // would find. A hint left far behind by mutations would make that walk
+  // worse than the logarithmic search, so bail out after a few steps.
   constexpr std::size_t kMaxHintWalk = 32;
   if (cover_hint != nullptr && *cover_hint < segs_.size() && segs_[*cover_hint].start <= t) {
     if (obs_ != nullptr) obs_->count(obs_->ledger().hints_hit);
@@ -98,20 +116,28 @@ std::size_t ReservationLedger::hinted_covering_index(SimTime t,
   return lo;
 }
 
-std::size_t ReservationLedger::split_index_at(SimTime t) {
-  std::size_t i = lower_index(t);
-  if (i < segs_.size() && segs_[i].start == t) return i;
-  VMLP_CHECK_MSG(i != 0, "time " << t << " precedes ledger origin");
-  segs_.insert(segs_.begin() + static_cast<std::ptrdiff_t>(i),
-               Segment{t, segs_[i - 1].level, segs_[i - 1].headroom});
-  return i;
+std::pair<std::size_t, std::size_t> ReservationLedger::split_window(SimTime t0, SimTime t1) {
+  const std::size_t begin = lower_index(t0);
+  if (begin == segs_.size() || segs_[begin].start != t0) {
+    VMLP_CHECK_MSG(begin != 0, "time " << t0 << " precedes ledger origin");
+    segs_.insert(segs_.begin() + static_cast<std::ptrdiff_t>(begin),
+                 Segment{t0, segs_[begin - 1].level, segs_[begin - 1].headroom});
+  }
+  // No second search for t1: the caller's level loop walks the window's
+  // segments anyway, so walk them here to find t1's split.
+  std::size_t end = begin + 1;
+  while (end < segs_.size() && segs_[end].start < t1) ++end;
+  if (end == segs_.size() || segs_[end].start != t1) {
+    segs_.insert(segs_.begin() + static_cast<std::ptrdiff_t>(end),
+                 Segment{t1, segs_[end - 1].level, segs_[end - 1].headroom});
+  }
+  return {begin, end};
 }
 
-void ReservationLedger::coalesce(SimTime t0, SimTime t1) {
+void ReservationLedger::coalesce(std::size_t begin, SimTime t1) {
   // Walk from the segment before the touched range, erasing the later of
   // each nearly-equal adjacent pair.
-  std::size_t i = lower_index(t0);
-  if (i > 0) --i;
+  std::size_t i = begin == 0 ? 0 : begin - 1;
   while (i + 1 < segs_.size()) {
     if (segs_[i + 1].start > t1) break;
     if (nearly_equal(segs_[i].level, segs_[i + 1].level)) {
@@ -122,33 +148,24 @@ void ReservationLedger::coalesce(SimTime t0, SimTime t1) {
   }
 }
 
-void ReservationLedger::ensure_index() const {
-  if (!index_dirty_) return;
-  const std::size_t blocks = (segs_.size() + kBlockSize - 1) >> kBlockShift;
-  block_max_.resize(blocks);
-  block_min_.resize(blocks);
-  // Only blocks from the first mutated index onward can be stale: edits
-  // never shift or change segments below `dirty_from_`, so the historical
-  // prefix keeps its cached entries. The peak refold over block maxima is
-  // O(blocks) — noise next to even one partial rebuild.
-  const std::size_t first =
-      std::min(dirty_from_, segs_.size() - 1) >> kBlockShift;
-  for (std::size_t b = first; b < blocks; ++b) {
-    const std::size_t lo = b << kBlockShift;
-    const std::size_t hi = std::min(segs_.size(), lo + kBlockSize);
-    ResourceVector mx = segs_[lo].level;
-    ResourceVector mn = segs_[lo].level;
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      mx = mx.max(segs_[i].level);
-      mn = mn.min(segs_[i].level);
-    }
-    block_max_[b] = mx;
-    block_min_[b] = mn;
+void ReservationLedger::refold_peak() const {
+  // Segments below dirty_from_ kept their levels and positions since the
+  // last refresh. Extending the prefix right up to them would put it past
+  // the next write whenever that write lands earlier in the live tail (a
+  // finish release at "now" after a reserve for a later start), forcing a
+  // refold from the origin; trailing the dirty index by kPrefixLag segments
+  // keeps that rare, and the lag is refolded with the tail.
+  constexpr std::size_t kPrefixLag = 16;
+  if (dirty_from_ < prefix_end_) {
+    prefix_peak_ = ResourceVector::zero();  // levels are never negative
+    prefix_end_ = 0;
   }
-  peak_ = block_max_[0];
-  for (std::size_t b = 1; b < blocks; ++b) peak_ = peak_.max(block_max_[b]);
-  index_dirty_ = false;
-  dirty_from_ = segs_.size();
+  for (; prefix_end_ + kPrefixLag < dirty_from_; ++prefix_end_) {
+    prefix_peak_ = prefix_peak_.max(segs_[prefix_end_].level);
+  }
+  peak_ = prefix_peak_;
+  for (std::size_t i = prefix_end_; i < segs_.size(); ++i) peak_ = peak_.max(segs_[i].level);
+  dirty_from_ = kClean;
 }
 
 // --------------------------------------------------------------------------
@@ -163,8 +180,7 @@ void ReservationLedger::reserve(SimTime t0, SimTime t1, const ResourceVector& r)
   // canonical corruption a buggy planner would introduce.
   VMLP_AUDIT_ASSERT(r.is_finite(), "non-finite reservation " << r.to_string());
   VMLP_AUDIT_ASSERT(!r.any_negative(), "negative reservation " << r.to_string());
-  const std::size_t begin = split_index_at(t0);
-  const std::size_t end = split_index_at(t1);
+  const auto [begin, end] = split_window(t0, t1);
   for (std::size_t i = begin; i < end; ++i) {
     segs_[i].level += r;
     segs_[i].headroom = headroom_of(segs_[i].level);
@@ -172,9 +188,8 @@ void ReservationLedger::reserve(SimTime t0, SimTime t1, const ResourceVector& r)
     // move the whole-profile peak to one of the levels written here.
     peak_ = peak_.max(segs_[i].level);
   }
-  coalesce(t0, t1);
-  index_dirty_ = true;
-  dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
+  coalesce(begin, t1);
+  dirty_from_ = std::min(dirty_from_, begin);
   if (obs_ != nullptr) {
     obs_->gauge_max(obs_->ledger().segments_peak, static_cast<double>(segment_count()));
   }
@@ -188,8 +203,7 @@ void ReservationLedger::release(SimTime t0, SimTime t1, const ResourceVector& r)
   VMLP_AUDIT_ASSERT(r.is_finite(), "non-finite release " << r.to_string());
   VMLP_AUDIT_ASSERT(!r.any_negative(),
                     "negative release " << r.to_string() << " would inflate the profile");
-  const std::size_t begin = split_index_at(t0);
-  const std::size_t end = split_index_at(t1);
+  const auto [begin, end] = split_window(t0, t1);
   for (std::size_t i = begin; i < end; ++i) {
     segs_[i].level -= r;
     VMLP_CHECK_MSG(!segs_[i].level.any_negative(),
@@ -198,22 +212,17 @@ void ReservationLedger::release(SimTime t0, SimTime t1, const ResourceVector& r)
     if (segs_[i].level.near_zero()) segs_[i].level = ResourceVector::zero();
     segs_[i].headroom = headroom_of(segs_[i].level);
   }
-  coalesce(t0, t1);
-  index_dirty_ = true;
-  dirty_from_ = std::min(dirty_from_, begin == 0 ? 0 : begin - 1);
+  coalesce(begin, t1);
+  dirty_from_ = std::min(dirty_from_, begin);
   if (::vmlp::audit::enabled()) audit_invariants();
 }
 
 void ReservationLedger::compact_before(SimTime t) {
-  const auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
-                                   [](SimTime v, const Segment& s) { return v < s.start; });
-  if (it == segs_.begin()) return;
-  const std::size_t cover = static_cast<std::size_t>(it - segs_.begin()) - 1;
-  if (cover == 0) return;
+  const std::size_t after = partition_from_end([t](const Segment& s) { return s.start <= t; });
+  if (after <= 1) return;  // t precedes the origin or lies in its segment
   ++version_;
-  segs_.erase(segs_.begin(), segs_.begin() + static_cast<std::ptrdiff_t>(cover));
-  index_dirty_ = true;
-  dirty_from_ = 0;  // the prefix erase shifted every surviving index
+  segs_.erase(segs_.begin(), segs_.begin() + static_cast<std::ptrdiff_t>(after - 1));
+  dirty_from_ = 0;  // every surviving index shifted: the prefix starts over
 }
 
 // --------------------------------------------------------------------------
@@ -221,11 +230,9 @@ void ReservationLedger::compact_before(SimTime t) {
 // --------------------------------------------------------------------------
 
 double ReservationLedger::free_fraction() const {
-  // Deliberately no ensure_index(): peak_ is a maintained upper bound (see
-  // its declaration), and rebuilding the index here made the cell headroom
-  // summary's refresh cost O(segments) per mutated machine — at 1k+
-  // machines that re-folded the whole cluster's ledgers once per mutation
-  // and re-coupled per-placement cost to cluster size.
+  // Deliberately no refresh_peak(): peak_ is a maintained upper bound (see
+  // its declaration), and refreshing here would make the cell headroom
+  // summary's upkeep fold every mutated machine's ledger once per mutation.
   return std::max(0.0, headroom_of(peak_));
 }
 
@@ -235,23 +242,13 @@ ResourceVector ReservationLedger::usage_at(SimTime t) const {
 
 ResourceVector ReservationLedger::max_usage(SimTime t0, SimTime t1) const {
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
-  ensure_index();
+  // Every window query refreshes the peak, used or not: the points where
+  // free_fraction() re-tightens are part of the run's deterministic history.
+  refresh_peak();
   const std::size_t lo = covering_index(t0);
-  // The window-end bound is checked lazily against segment starts instead
-  // of a second binary search: for i >= lo, `segs_[i].start < t1` is
-  // exactly `i < lower_index(t1)`, and the fold order is unchanged.
   ResourceVector m = segs_[lo].level;
-  std::size_t i = lo;
-  while (i < segs_.size() && segs_[i].start < t1) {
-    // Whole block inside the window: one cached entry covers 32 segments.
-    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-        segs_[i + kBlockSize - 1].start < t1) {
-      m = m.max(block_max_[i >> kBlockShift]);
-      i += kBlockSize;
-    } else {
-      m = m.max(segs_[i].level);
-      ++i;
-    }
+  for (std::size_t i = lo + 1; i < segs_.size() && segs_[i].start < t1; ++i) {
+    m = m.max(segs_[i].level);
   }
   return m;
 }
@@ -260,28 +257,20 @@ bool ReservationLedger::span_could_fit(SimTime t0, SimTime t1, const ResourceVec
                                        std::size_t* cover_hint) const {
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
   if (obs_ != nullptr) obs_->count(obs_->ledger().spans_tested);
-  ensure_index();
+  refresh_peak();
   const std::size_t lo = hinted_covering_index(t0, cover_hint);
   const double frac = demand_fraction(r);
   ResourceVector m = segs_[lo].level;
   if ((m + r).fits_within(capacity_)) return true;
-  std::size_t i = lo;
-  while (i < segs_.size() && segs_[i].start < t1) {
-    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-        segs_[i + kBlockSize - 1].start < t1) {
-      m = m.min(block_min_[i >> kBlockShift]);
-      i += kBlockSize;
-    } else {
-      // Scalar accept: a segment whose cached headroom admits the demand
-      // satisfies level + r <= capacity, and the span min is <= this
-      // level component-wise, so the exact verdict is already true.
-      if (frac + kHeadroomSafety <= segs_[i].headroom) return true;
-      m = m.min(segs_[i].level);
-      ++i;
-    }
+  for (std::size_t i = lo + 1; i < segs_.size() && segs_[i].start < t1; ++i) {
+    // Scalar accept: a segment whose cached headroom admits the demand
+    // satisfies level + r <= capacity, and the span min is <= this
+    // level component-wise, so the exact verdict is already true.
+    if (frac + kHeadroomSafety <= segs_[i].headroom) return true;
+    m = m.min(segs_[i].level);
     if ((m + r).fits_within(capacity_)) return true;
   }
-  return (m + r).fits_within(capacity_);
+  return false;
 }
 
 ResourceVector ReservationLedger::available(SimTime t0, SimTime t1) const {
@@ -292,24 +281,15 @@ bool ReservationLedger::fits(SimTime t0, SimTime t1, const ResourceVector& r,
                              std::size_t* cover_hint) const {
   if (obs_ != nullptr) obs_->count(obs_->ledger().fits_queried);
   VMLP_CHECK_MSG(t0 < t1, "empty query window");
-  ensure_index();
+  refresh_peak();
   // Uncontended fast accept: if the demand fits atop the whole-profile
   // peak, it fits any window (max_usage <= peak component-wise). The hint
   // is left untouched — it stays valid for the next, later-starting query.
   if ((peak_ + r).fits_within(capacity_)) return true;
   const std::size_t lo = hinted_covering_index(t0, cover_hint);
   const double frac = demand_fraction(r);
-  std::size_t i = lo;
-  while (i < segs_.size() && segs_[i].start < t1) {
-    if ((i & (kBlockSize - 1)) == 0 && i + kBlockSize <= segs_.size() &&
-        segs_[i + kBlockSize - 1].start < t1) {
-      // Whole block: the cached max decides for all 32 segments at once.
-      if (!(block_max_[i >> kBlockShift] + r).fits_within(capacity_)) return false;
-      i += kBlockSize;
-    } else {
-      if (segment_blocks(segs_[i], r, frac)) return false;
-      ++i;
-    }
+  for (std::size_t i = lo; i < segs_.size() && segs_[i].start < t1; ++i) {
+    if (segment_blocks(segs_[i], r, frac)) return false;
   }
   return true;
 }

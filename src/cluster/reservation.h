@@ -8,20 +8,23 @@
 // present load. Non-reserving baseline schedulers use it degenerately
 // (reserve from "now" with no lookahead).
 //
-// Segments live in a flat sorted vector (cache-friendly iteration, batched
-// reserve/release edits). Each segment caches a scalar *headroom* (the
-// tightest remaining-capacity fraction across resource dimensions), and a
-// lazily rebuilt coarse index stores per-32-segment-block component-wise
-// max/min levels plus the whole-profile peak. `fits` / `max_usage` /
-// `span_could_fit` then answer by walking blocks instead of every segment in
-// the window, and an uncontended window is accepted from the cached peak
-// alone. A std::map reference implementation lives in
-// tests/map_ledger.h; the differential fuzz holds every query here
-// bit-identical to it.
+// Segments live in a flat sorted vector. Every write lands at or after the
+// simulation's "now", a few segments from the end, while the vector also
+// holds up to ~11 s of history in front, so upkeep is paid on the live tail
+// only: index searches gallop back from the end, a write searches once and
+// walks forward to its window end, and the whole-profile peak is a cached
+// fold of the untouched prefix plus a refold of the tail a write dirtied.
+// Each segment caches a scalar *headroom* (the tightest remaining-capacity
+// fraction across resource dimensions); `fits` / `max_usage` /
+// `span_could_fit` walk the window's segments from the covering index, and
+// an uncontended window is accepted from the peak alone. A std::map
+// reference implementation lives in tests/map_ledger.h; the differential
+// fuzz holds every query and free_fraction() here bit-identical to it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/resources.h"
@@ -71,10 +74,10 @@ class ReservationLedger {
   /// queries with nearby window starts. Any value is accepted — a hint that
   /// no longer names a segment starting at or before t0 in the *current*
   /// profile (kNoCoverHint, out of range, or left ahead by mutations) falls
-  /// back to the binary search; a valid one is walked forward to
+  /// back to the search from the end; a valid one is walked forward to
   /// covering_index(t0), which is what the hint holds on exit.
   /// The admission probe loop keeps one hint per machine across stages, so
-  /// most probes skip the binary search entirely. The covering index found
+  /// most probes skip the search entirely. The covering index found
   /// is identical either way — results do not depend on the hint.
   [[nodiscard]] bool span_could_fit(SimTime t0, SimTime t1, const ResourceVector& r,
                                     std::size_t* cover_hint = nullptr) const;
@@ -108,10 +111,11 @@ class ReservationLedger {
   /// (capacity - whole-profile peak) / capacity, clamped at 0. A demand whose
   /// demand_fraction_of() is strictly below this fits at *every* time — the
   /// cell headroom index uses it as a sufficient-fit summary. It reads the
-  /// incrementally maintained peak upper bound WITHOUT forcing an index
-  /// rebuild, so the call is O(1) and the result is exact after reserve-only
+  /// incrementally maintained peak upper bound WITHOUT forcing a refresh,
+  /// so the call is O(1) and the result is exact after reserve-only
   /// mutation histories and a sound lower bound (peak never understated)
-  /// after releases, re-tightening on the next indexed query.
+  /// after releases, re-tightening on the next fits / max_usage /
+  /// span_could_fit query.
   [[nodiscard]] double free_fraction() const;
 
   /// Max capacity-fraction `r` needs in any dimension (+inf when it needs a
@@ -138,12 +142,6 @@ class ReservationLedger {
     double headroom;
   };
 
-  /// Segments per coarse-index block (32): small enough that partial-block
-  /// walks stay short, large enough that indexed window queries touch ~n/32
-  /// entries.
-  static constexpr std::size_t kBlockShift = 5;
-  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-
   [[nodiscard]] double headroom_of(const ResourceVector& level) const;
   /// Max capacity-fraction the demand needs in any dimension (+inf when it
   /// needs a dimension the machine lacks). Compared against cached headroom
@@ -153,16 +151,27 @@ class ReservationLedger {
   /// Index of the segment covering t. Throws if t precedes the origin.
   [[nodiscard]] std::size_t covering_index(SimTime t) const;
   /// covering_index(t) resolved through an optional caller-held hint (see
-  /// fits): a valid hint turns the binary search into a short forward walk.
+  /// fits): a valid hint turns the search into a short forward walk.
   [[nodiscard]] std::size_t hinted_covering_index(SimTime t, std::size_t* cover_hint) const;
   /// First segment index with start >= t.
   [[nodiscard]] std::size_t lower_index(SimTime t) const;
-  /// Ensure a segment starts exactly at t; returns its index.
-  std::size_t split_index_at(SimTime t);
-  /// Merge adjacent segments with equal levels around the touched range.
-  void coalesce(SimTime t0, SimTime t1);
-  /// Rebuild peak/block caches if a mutation invalidated them.
-  void ensure_index() const;
+  /// Partition point of `segs_` under `before` (true on a prefix, false on
+  /// the rest), found by galloping back from the end: the same index
+  /// std::partition_point returns, in O(log distance from the end).
+  template <class Before>
+  [[nodiscard]] std::size_t partition_from_end(Before before) const;
+  /// Ensure segments start exactly at t0 and at t1 (one search, for t0; t1
+  /// is reached by walking forward) and return the index range [t0, t1).
+  std::pair<std::size_t, std::size_t> split_window(SimTime t0, SimTime t1);
+  /// Merge adjacent segments with equal levels from `begin - 1` through the
+  /// last segment starting at or before t1.
+  void coalesce(std::size_t begin, SimTime t1);
+  /// Make peak_ exact if a mutation left it stale (inline clean check).
+  void refresh_peak() const {
+    if (dirty_from_ != kClean) refold_peak();
+  }
+  /// Fold newly clean segments into the prefix peak, then the dirty tail.
+  void refold_peak() const;
   [[nodiscard]] bool segment_blocks(const Segment& s, const ResourceVector& r,
                                     double frac) const;
 
@@ -172,31 +181,30 @@ class ReservationLedger {
   obs::Collector* obs_ = nullptr;  ///< optional telemetry sink (write-only)
 
   // Storage is arena-backed: ledgers are per-trial objects, and the segment
-  // vector plus the index blocks below are the scheduler's highest-churn
-  // allocations after engine events. Inside a shard's arena scope their
-  // growth is lane-local; outside one they are heap vectors.
+  // vector is the scheduler's highest-churn allocation after engine events.
+  // Inside a shard's arena scope its growth is lane-local; outside one it is
+  // a heap vector.
   ArenaVector<Segment> segs_;
-  // Coarse window-max index over the segments, rebuilt lazily on the first
-  // query after a mutation — and only from `dirty_from_` onward.
-  // Mutations target windows at or after "now" while the profile keeps up to
-  // a second of history in front, so the long historical prefix of blocks
-  // stays valid and a rebuild touches only the recent tail. Erase/insert
-  // shifts indices only at or after the mutation point, never before it,
-  // which is what keeps prefix blocks exact.
-  mutable ArenaVector<ResourceVector> block_max_;
-  mutable ArenaVector<ResourceVector> block_min_;
-  /// Whole-profile peak, maintained as a monotone UPPER bound between index
-  /// rebuilds: exact right after ensure_index(); reserve() folds the levels
+  /// Whole-profile peak, maintained as a monotone UPPER bound between
+  /// refreshes: exact right after refresh_peak(); reserve() folds the levels
   /// it writes (still exact — reserving only raises levels); release() and
   /// compact_before() leave it stale-high. free_fraction() reads it without
-  /// forcing a rebuild, so its result is a sound lower bound on the true
+  /// forcing a refresh, so its result is a sound lower bound on the true
   /// guaranteed-free fraction — which is all the cell headroom summary
   /// needs, and what keeps that summary from re-folding every mutated
-  /// ledger in the cluster (O(segments) each) once per mutation.
+  /// ledger in the cluster once per mutation.
   mutable ResourceVector peak_;
-  mutable bool index_dirty_ = true;
-  /// Lowest segment index whose block may be stale (mutations lower it,
-  /// rebuilds reset it past the end).
+  /// Component-wise max over segments [0, prefix_end_), the untouched
+  /// prefix. Writes edit, insert and erase only at or after the index they
+  /// search, so segments below the lowest dirty index keep both their level
+  /// and their position; a refresh extends the prefix over them (keeping a
+  /// short lag, see refold_peak) and refolds only the tail. compact_before
+  /// shifts every index and resets the prefix to empty.
+  mutable ResourceVector prefix_peak_;
+  mutable std::size_t prefix_end_ = 0;
+  /// Lowest segment index a mutation touched since the last refresh;
+  /// kClean when peak_ is exact.
+  static constexpr std::size_t kClean = static_cast<std::size_t>(-1);
   mutable std::size_t dirty_from_ = 0;
   std::uint64_t version_ = 0;  ///< mutation epoch, see version()
 };

@@ -17,10 +17,6 @@ void ProfileStore::record(ServiceTypeId service, RequestTypeId request_type,
   Ring& ring = rings_[Key{service, request_type}];
   if (ring.cases.size() < capacity_) {
     ring.cases.push_back(c);
-    if (ring.cases.size() == capacity_) {
-      ring.full = true;
-      ring.next = 0;
-    }
   } else {
     const ExecutionCase& evicted = ring.cases[ring.next];
     ring.exec_sum -= static_cast<double>(evicted.exec_time);
@@ -37,19 +33,6 @@ const ProfileStore::Ring* ProfileStore::find(ServiceTypeId service,
                                              RequestTypeId request_type) const {
   auto it = rings_.find(Key{service, request_type});
   return it == rings_.end() ? nullptr : &it->second;
-}
-
-std::vector<const ExecutionCase*> ProfileStore::ordered(const Ring& ring) {
-  std::vector<const ExecutionCase*> out;
-  out.reserve(ring.cases.size());
-  if (!ring.full) {
-    for (const auto& c : ring.cases) out.push_back(&c);
-  } else {
-    for (std::size_t i = 0; i < ring.cases.size(); ++i) {
-      out.push_back(&ring.cases[(ring.next + i) % ring.cases.size()]);
-    }
-  }
-  return out;
 }
 
 std::size_t ProfileStore::case_count(ServiceTypeId service, RequestTypeId request_type) const {
@@ -98,25 +81,27 @@ std::optional<SimDuration> ProfileStore::quantile_of_recent(ServiceTypeId servic
     return it->second.value;
   }
 
-  const auto all = ordered(*ring);
+  // The most recent `take` cases, read from the ring in place: `next` is the
+  // oldest case's slot whether or not the ring has wrapped.
+  const std::size_t n = ring->cases.size();
   const std::size_t take = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(static_cast<double>(all.size()) * x_percent / 100.0)));
+      1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) * x_percent / 100.0)));
   std::vector<double> recent;
   recent.reserve(take);
-  for (std::size_t i = all.size() - take; i < all.size(); ++i) {
-    recent.push_back(static_cast<double>(all[i]->exec_time));
+  for (std::size_t i = n - take; i < n; ++i) {
+    recent.push_back(static_cast<double>(ring->cases[(ring->next + i) % n].exec_time));
   }
-  std::sort(recent.begin(), recent.end());
-  SimDuration value;
-  if (recent.size() == 1) {
-    value = static_cast<SimDuration>(std::llround(recent[0]));
-  } else {
-    const double pos = q * static_cast<double>(recent.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
-    const std::size_t hi = std::min(lo + 1, recent.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    value = static_cast<SimDuration>(std::llround(recent[lo] * (1.0 - frac) + recent[hi] * frac));
-  }
+  // The interpolation reads only the lo-th and (lo+1)-th order statistics:
+  // select the first, and the second is the least value above it.
+  const double pos = q * static_cast<double>(take - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+  const auto lo_it = recent.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(recent.begin(), lo_it, recent.end());
+  const double lo_value = *lo_it;
+  const double hi_value = lo + 1 < take ? *std::min_element(lo_it + 1, recent.end()) : lo_value;
+  const double frac = pos - static_cast<double>(lo);
+  const auto value =
+      static_cast<SimDuration>(std::llround(lo_value * (1.0 - frac) + hi_value * frac));
   ring->cached_quantiles[key] = CachedValue{ring->revision, value};
   return value;
 }
@@ -133,7 +118,8 @@ std::vector<SimDuration> ProfileStore::exec_times(ServiceTypeId service,
   std::vector<SimDuration> out;
   const Ring* ring = find(service, request_type);
   if (ring == nullptr) return out;
-  for (const auto* c : ordered(*ring)) out.push_back(c->exec_time);
+  const std::size_t n = ring->cases.size();
+  for (std::size_t i = 0; i < n; ++i) out.push_back(ring->cases[(ring->next + i) % n].exec_time);
   return out;
 }
 

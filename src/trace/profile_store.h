@@ -89,8 +89,7 @@ class ProfileStore {
   };
   struct Ring {
     std::vector<ExecutionCase> cases;  // capacity-bounded ring
-    std::size_t next = 0;              // insertion cursor once full
-    bool full = false;
+    std::size_t next = 0;              // oldest case's slot, overwritten next once full
     std::uint64_t revision = 0;        // total records ever
     // O(1) aggregates maintained incrementally.
     double exec_sum = 0.0;
@@ -103,8 +102,6 @@ class ProfileStore {
   };
 
   [[nodiscard]] const Ring* find(ServiceTypeId service, RequestTypeId request_type) const;
-  /// Cases in oldest→newest order.
-  [[nodiscard]] static std::vector<const ExecutionCase*> ordered(const Ring& ring);
 
   std::size_t capacity_;
   std::unordered_map<Key, Ring, KeyHash> rings_;

@@ -6,7 +6,8 @@
 // performs the same floating-point arithmetic in the same order, so
 // usage_at / max_usage / available / fits / span_could_fit must agree with
 // the flat ledger bit for bit (tests/test_reservation_fuzz.cpp); min_usage is
-// the window minimum span_could_fit's verdict is checked against.
+// the window minimum span_could_fit's verdict is checked against, and peak
+// the whole-profile max free_fraction() is checked against.
 #pragma once
 
 #include <cstddef>
@@ -101,6 +102,13 @@ class MapLedger {
   }
 
   [[nodiscard]] std::size_t segment_count() const { return profile_.size(); }
+
+  /// Component-wise max over the whole profile.
+  [[nodiscard]] ResourceVector peak() const {
+    ResourceVector m = profile_.begin()->second;
+    for (const auto& [start, level] : profile_) m = m.max(level);
+    return m;
+  }
 
   /// Number of profile segments overlapping [t0, t1): the covering segment
   /// plus every boundary strictly inside the window.

@@ -15,6 +15,7 @@
 #include "cluster/cluster.h"
 #include "common/audit.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "exp/experiment.h"
 
 namespace vmlp::cluster {
@@ -211,6 +212,79 @@ TEST_F(HeadroomIndexTest, DownMachinesAreSkipped) {
   cluster_->machine(MachineId(0)).set_up(false);
   const auto& topo = cluster_->cells();
   EXPECT_EQ(topo.first_fit_candidate(*cluster_, 0, 0, 0.5), 1u);
+}
+
+TEST(HeadroomIndex, BlockMaxMatchesAFreshFoldThroughRisesAndFalls) {
+  // 100 machines in 2 cells: four 32-machine blocks, one straddling the
+  // cell boundary. Reserves lower a machine's free fraction; a release
+  // followed by a refreshing query raises it. The incremental block max must
+  // equal a fresh fold after every notification (checked by the audit tier
+  // on each visited block), and candidates must match a brute-force scan.
+  const bool audits_were_on = vmlp::audit::enabled();
+  ClusterParams p;
+  p.machine_count = 100;
+  p.topology.cells = 2;
+  Cluster cluster(p);
+  auto& topo = cluster.cells();
+  Rng rng(4242);
+  struct Booking {
+    std::size_t machine;
+    SimTime t0;
+    SimTime t1;
+    ResourceVector res;
+  };
+  std::vector<Booking> live;
+  int rises = 0;
+  int falls = 0;
+  for (int op = 0; op < 3000; ++op) {
+    vmlp::audit::set_enabled(false);
+    std::size_t i = 0;
+    double before = 0.0;
+    if (live.empty() || rng.uniform() < 0.55) {
+      i = static_cast<std::size_t>(rng.uniform_int(0, 99));
+      Machine& m = cluster.machine(MachineId(static_cast<std::uint32_t>(i)));
+      before = m.ledger().free_fraction();
+      const SimTime t0 = rng.uniform_int(0, 50) * kMsec;
+      const SimTime t1 = t0 + rng.uniform_int(1, 50) * kMsec;
+      const ResourceVector res = m.capacity() * (0.01 * static_cast<double>(rng.uniform_int(1, 12)));
+      m.ledger().reserve(t0, t1, res);
+      live.push_back(Booking{i, t0, t1, res});
+    } else {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const Booking b = live[k];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      i = b.machine;
+      Machine& m = cluster.machine(MachineId(static_cast<std::uint32_t>(i)));
+      before = m.ledger().free_fraction();
+      m.ledger().release(b.t0, b.t1, b.res);
+      static_cast<void>(m.ledger().max_usage(0, 1));  // re-tightens the peak
+    }
+    const Machine& m = cluster.machine(MachineId(static_cast<std::uint32_t>(i)));
+    topo.note_mutation(MachineId(static_cast<std::uint32_t>(i)), m);
+    const double after = m.ledger().free_fraction();
+    rises += after > before ? 1 : 0;
+    falls += after < before ? 1 : 0;
+
+    vmlp::audit::set_enabled(true);
+    const double demand = 0.01 * static_cast<double>(rng.uniform_int(0, 100));
+    for (std::size_t c = 0; c < topo.cell_count(); ++c) {
+      // An unsatisfiable demand visits, and so audits, every block of the cell.
+      EXPECT_EQ(topo.first_fit_candidate(cluster, c, 0, 2.0), CellTopology::kNoMachine);
+      std::size_t want = CellTopology::kNoMachine;
+      for (std::size_t j = topo.cell_begin(c); j < topo.cell_begin(c) + topo.cell_size(c); ++j) {
+        if (cluster.machine(MachineId(static_cast<std::uint32_t>(j))).ledger().free_fraction() >=
+            demand + 1e-9) {
+          want = j;
+          break;
+        }
+      }
+      EXPECT_EQ(topo.first_fit_candidate(cluster, c, 0, demand), want) << "op " << op;
+    }
+  }
+  vmlp::audit::set_enabled(audits_were_on);
+  EXPECT_GT(rises, 100);
+  EXPECT_GT(falls, 100);
 }
 
 TEST(ClusterTopology, MachineCountOverflowGuard) {

@@ -1,7 +1,9 @@
 // Tracing (Zipkin analogue) and the historical profile store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -178,6 +180,36 @@ TEST_F(ProfileStoreTest, QuantileOfRecentWindow) {
   // p99 of everything ~99.
   const auto q99 = *store.quantile_of_recent(svc_, req_, 0.99, 100.0);
   EXPECT_GE(q99, 98);
+}
+
+TEST_F(ProfileStoreTest, QuantileMatchesASortedWindowOnAWrappedRing) {
+  // 150 records into a 64-slot ring (it wraps twice), with repeated values:
+  // every quantile must equal the interpolation over the fully sorted
+  // recent window, bit for bit.
+  ProfileStore store(64);
+  std::vector<SimDuration> history;
+  for (SimDuration i = 0; i < 150; ++i) {
+    history.push_back((i * 7919) % 97 * 10);
+    store.record(svc_, req_, make_case(history.back()));
+  }
+  for (const double x : {1.0, 10.0, 33.0, 50.0, 100.0}) {
+    const std::size_t take = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(64.0 * x / 100.0)));
+    std::vector<double> recent;
+    for (std::size_t i = history.size() - take; i < history.size(); ++i) {
+      recent.push_back(static_cast<double>(history[i]));
+    }
+    std::sort(recent.begin(), recent.end());
+    for (const double q : {0.0, 0.1, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      const double pos = q * static_cast<double>(recent.size() - 1);
+      const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+      const std::size_t hi = std::min(lo + 1, recent.size() - 1);
+      const double frac = pos - static_cast<double>(lo);
+      const auto want =
+          static_cast<SimDuration>(std::llround(recent[lo] * (1.0 - frac) + recent[hi] * frac));
+      EXPECT_EQ(*store.quantile_of_recent(svc_, req_, q, x), want) << "q " << q << " x " << x;
+    }
+  }
 }
 
 TEST_F(ProfileStoreTest, QuantileTakesAtLeastOne) {

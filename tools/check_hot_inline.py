@@ -13,7 +13,9 @@ message stream big enough that the compiler declines to inline (see
 common/error.h). The driver's hook-subscription test,
 `SimulationDriver::wants`, runs on every node start and finish, and its
 request-table lookup, `SimulationDriver::find_request`, runs in every
-scheduler callback; both are guarded the same way.
+scheduler callback; both are guarded the same way. So is the ledger's clean
+check, `ReservationLedger::refresh_peak`, which every window query runs
+before it reads the profile (the refold behind it stays out of line).
 
 The check runs `nm -C --defined-only` over the given static libraries and
 lists every hot function that still has a `T` or `W` definition. The cold
@@ -45,6 +47,7 @@ HOT_FUNCTIONS = (
     "vmlp::cluster::ResourceVector::any_negative",
     "vmlp::cluster::ResourceVector::near_zero",
     "vmlp::audit::enabled",
+    "vmlp::cluster::ReservationLedger::refresh_peak",
     "vmlp::app::RequestRuntime::node",
     "vmlp::app::Dag::parents",
     "vmlp::app::Application::service",

@@ -88,6 +88,15 @@ class FindOutlinedTest(unittest.TestCase):
         self.assertEqual(len(found), 1)
         self.assertTrue(found[0][1].startswith("vmlp::sched::SimulationDriver::find_request("))
 
+    def test_ledger_clean_check_is_hot_but_its_refold_is_not(self):
+        text = ("reservation.cpp.o:\n"
+                "0000000000000000 W vmlp::cluster::ReservationLedger::refresh_peak() const\n"
+                "0000000000000120 T vmlp::cluster::ReservationLedger::refold_peak() const\n")
+        found = check_hot_inline.find_outlined(text)
+        self.assertEqual(len(found), 1)
+        self.assertTrue(
+            found[0][1].startswith("vmlp::cluster::ReservationLedger::refresh_peak("))
+
     def test_undefined_and_data_symbols_are_ignored(self):
         text = ("x.o:\n"
                 "                 U vmlp::audit::enabled()\n"
