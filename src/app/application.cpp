@@ -37,12 +37,6 @@ RequestTypeBuilder& RequestTypeBuilder::chain(const std::vector<std::size_t>& pa
   return *this;
 }
 
-RequestTypeBuilder& RequestTypeBuilder::slo(SimDuration value) {
-  VMLP_CHECK_MSG(value > 0, "non-positive SLO");
-  slo_ = value;
-  return *this;
-}
-
 RequestTypeId RequestTypeBuilder::commit() { return app_.commit_request(*this); }
 
 Application::Application(std::string name) : name_(std::move(name)) {}
@@ -70,15 +64,13 @@ RequestTypeId Application::commit_request(RequestTypeBuilder& builder) {
   Dag dag(builder.nodes_.size());
   for (const auto& [from, to] : builder.edges_) dag.add_edge(from, to);
 
-  SimDuration slo = builder.slo_.value_or(0);
-  if (slo == 0) {
-    // Derive from the contention-free critical path.
-    RequestType probe(id, builder.name_, builder.nodes_, dag, 1);
-    requests_.push_back(std::move(probe));
-    const SimDuration nominal = nominal_e2e(id, slo_edge_comm_);
-    requests_.pop_back();
-    slo = static_cast<SimDuration>(std::llround(static_cast<double>(nominal) * slo_factor_));
-  }
+  // Derive the SLO from the contention-free critical path.
+  RequestType probe(id, builder.name_, builder.nodes_, dag, 1);
+  requests_.push_back(std::move(probe));
+  const SimDuration nominal = nominal_e2e(id, kSloEdgeComm);
+  requests_.pop_back();
+  const auto slo =
+      static_cast<SimDuration>(std::llround(static_cast<double>(nominal) * kSloFactor));
   requests_.emplace_back(id, builder.name_, std::move(builder.nodes_), std::move(dag), slo);
   return id;
 }
@@ -128,16 +120,6 @@ SimDuration Application::nominal_e2e(RequestTypeId id, SimDuration edge_comm) co
     finish[node] = start + static_cast<double>(service(n.service).nominal_time) * n.time_scale;
   }
   return static_cast<SimDuration>(std::llround(*std::max_element(finish.begin(), finish.end())));
-}
-
-void Application::set_slo_factor(double factor) {
-  VMLP_CHECK_MSG(factor > 0.0, "non-positive SLO factor");
-  slo_factor_ = factor;
-}
-
-void Application::set_slo_edge_comm(SimDuration comm) {
-  VMLP_CHECK_MSG(comm >= 0, "negative SLO edge comm");
-  slo_edge_comm_ = comm;
 }
 
 }  // namespace vmlp::app

@@ -55,11 +55,9 @@ class RequestTypeBuilder {
   RequestTypeBuilder& edge(std::size_t from, std::size_t to);
   /// Chain sugar: edges n0→n1→…→nk over already-added node indices.
   RequestTypeBuilder& chain(const std::vector<std::size_t>& path);
-  /// Explicit SLO; when omitted the application derives one from the nominal
-  /// critical path (× slo_factor).
-  RequestTypeBuilder& slo(SimDuration slo);
 
-  /// Finalize; registers the request type with the application.
+  /// Finalize; registers the request type with the application, which
+  /// derives its SLO from the nominal critical path.
   RequestTypeId commit();
 
  private:
@@ -70,7 +68,6 @@ class RequestTypeBuilder {
   std::string name_;
   std::vector<RequestNode> nodes_;
   std::vector<std::pair<std::size_t, std::size_t>> edges_;
-  std::optional<SimDuration> slo_;
 };
 
 class Application {
@@ -108,21 +105,17 @@ class Application {
   /// weight nominal×scale and a fixed per-edge communication estimate.
   [[nodiscard]] SimDuration nominal_e2e(RequestTypeId id, SimDuration edge_comm) const;
 
-  /// Factor applied to nominal_e2e when deriving default SLOs.
-  void set_slo_factor(double factor);
-  [[nodiscard]] double slo_factor() const { return slo_factor_; }
-  /// Per-edge communication estimate used for default SLOs.
-  void set_slo_edge_comm(SimDuration comm);
-
  private:
+  /// A request type's SLO is nominal_e2e(id, kSloEdgeComm) × kSloFactor.
+  static constexpr double kSloFactor = 5.0;
+  static constexpr SimDuration kSloEdgeComm = 2 * kMsec;
+
   friend class RequestTypeBuilder;
   RequestTypeId commit_request(RequestTypeBuilder& builder);
 
   std::string name_;
   std::vector<MicroserviceType> services_;
   std::vector<RequestType> requests_;
-  double slo_factor_ = 5.0;
-  SimDuration slo_edge_comm_ = 2 * kMsec;
 };
 
 }  // namespace vmlp::app

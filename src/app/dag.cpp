@@ -24,22 +24,6 @@ const std::vector<std::size_t>& Dag::children(std::size_t node) const {
   return children_[node];
 }
 
-std::vector<std::size_t> Dag::roots() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (parents_[i].empty()) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> Dag::sinks() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (children_[i].empty()) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<std::size_t> Dag::topo_with_tiebreak(Rng* rng) const {
   std::vector<std::size_t> indegree(n_, 0);
   for (const auto& [from, to] : edges_) {
@@ -98,17 +82,6 @@ std::vector<std::vector<std::size_t>> Dag::chain_choices(std::size_t max_choices
     if (unique.insert(order).second) out.push_back(std::move(order));
   }
   return out;
-}
-
-std::size_t Dag::critical_path_length() const {
-  const auto order = topo_order();
-  std::vector<std::size_t> depth(n_, 1);
-  for (std::size_t node : order) {
-    for (std::size_t child : children_[node]) {
-      depth[child] = std::max(depth[child], depth[node] + 1);
-    }
-  }
-  return *std::max_element(depth.begin(), depth.end());
 }
 
 bool Dag::reaches(std::size_t ancestor, std::size_t node) const {

@@ -32,8 +32,6 @@ class Dag {
     return parents_[node];
   }
   [[nodiscard]] const std::vector<std::size_t>& children(std::size_t node) const;
-  [[nodiscard]] std::vector<std::size_t> roots() const;
-  [[nodiscard]] std::vector<std::size_t> sinks() const;
 
   /// True when the graph has no directed cycle.
   [[nodiscard]] bool is_acyclic() const;
@@ -46,9 +44,6 @@ class Dag {
   /// chain choices c_j). The canonical order is always the first entry.
   [[nodiscard]] std::vector<std::vector<std::size_t>> chain_choices(std::size_t max_choices,
                                                                     Rng& rng) const;
-
-  /// Longest path length in *node count* (chain depth).
-  [[nodiscard]] std::size_t critical_path_length() const;
 
   /// True if `ancestor` can reach `node` through directed edges.
   [[nodiscard]] bool reaches(std::size_t ancestor, std::size_t node) const;

@@ -1,7 +1,5 @@
 #include "cluster/machine.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace vmlp::cluster {
@@ -29,18 +27,6 @@ Container* Machine::find_container(ContainerId id) {
   return it == containers_.end() ? nullptr : &it->second;
 }
 
-const Container* Machine::find_container(ContainerId id) const {
-  auto it = containers_.find(id);
-  return it == containers_.end() ? nullptr : &it->second;
-}
-
-std::vector<ContainerId> Machine::container_ids() const {
-  std::vector<ContainerId> ids;
-  ids.reserve(containers_.size());
-  for (const auto& [id, _] : containers_) ids.push_back(id);  // map: already id-sorted
-  return ids;
-}
-
 ResourceVector Machine::current_usage() const {
   ResourceVector usage;
   for (const auto& [_, c] : containers_) usage += c.effective_usage();
@@ -53,18 +39,6 @@ ResourceVector Machine::allocated() const {
   return total;
 }
 
-ResourceVector Machine::demanded() const {
-  ResourceVector total;
-  for (const auto& [_, c] : containers_) total += c.demand();
-  return total;
-}
-
 double Machine::utilization_sum() const { return current_usage().utilization_sum(capacity_); }
-
-bool Machine::oversubscribed() const { return !allocated().fits_within(capacity_); }
-
-double Machine::contention_factor() const {
-  return std::max(1.0, allocated().max_ratio_over(capacity_));
-}
 
 }  // namespace vmlp::cluster

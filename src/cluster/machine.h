@@ -34,9 +34,7 @@ class Machine {
   /// Remove a finished container. Throws if absent.
   void remove_container(ContainerId id);
   [[nodiscard]] Container* find_container(ContainerId id);
-  [[nodiscard]] const Container* find_container(ContainerId id) const;
   [[nodiscard]] std::size_t container_count() const { return containers_.size(); }
-  [[nodiscard]] std::vector<ContainerId> container_ids() const;
 
   /// Sum of effective usage of the containers placed here, clamped to
   /// capacity (oversubscription shows up as allocation pressure, not as
@@ -44,15 +42,9 @@ class Machine {
   [[nodiscard]] ResourceVector current_usage() const;
   /// Sum of granted limits (may exceed capacity under oversubscription).
   [[nodiscard]] ResourceVector allocated() const;
-  /// Total demand of the containers placed here.
-  [[nodiscard]] ResourceVector demanded() const;
   /// Per-node efficiency term of the paper's U metric:
   /// (u_cpu + u_mem + u_io) with each u in [0,1].
   [[nodiscard]] double utilization_sum() const;
-  /// True when allocated limits exceed capacity in any dimension.
-  [[nodiscard]] bool oversubscribed() const;
-  /// Contention factor >= 1: how much allocation exceeds capacity at worst.
-  [[nodiscard]] double contention_factor() const;
 
  private:
   MachineId id_;

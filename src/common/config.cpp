@@ -62,22 +62,6 @@ Config Config::parse_file(const std::string& path) {
   return parse(buffer.str());
 }
 
-void Config::set(const std::string& key, const std::string& value) { values_[key] = value; }
-void Config::set_int(const std::string& key, std::int64_t value) {
-  values_[key] = std::to_string(value);
-}
-void Config::set_double(const std::string& key, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  values_[key] = os.str();
-}
-void Config::set_bool(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
-}
-
-bool Config::contains(const std::string& key) const { return values_.count(key) > 0; }
-
 std::optional<std::string> Config::get(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
@@ -117,33 +101,6 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
   if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
   throw ConfigError("config key '" + key + "': not a boolean: " + *v);
-}
-
-std::string Config::require_string(const std::string& key) const {
-  auto v = get(key);
-  if (!v) throw ConfigError("missing required config key: " + key);
-  return *v;
-}
-
-std::int64_t Config::require_int(const std::string& key) const {
-  if (!contains(key)) throw ConfigError("missing required config key: " + key);
-  return get_int(key, 0);
-}
-
-double Config::require_double(const std::string& key) const {
-  if (!contains(key)) throw ConfigError("missing required config key: " + key);
-  return get_double(key, 0.0);
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, _] : values_) out.push_back(k);
-  return out;
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
 }
 
 }  // namespace vmlp

@@ -1,14 +1,13 @@
 // Typed key/value configuration with INI-style parsing.
 //
 // Sections flatten into dotted keys ("[cluster]\nmachines = 100" becomes
-// "cluster.machines"). Experiment harnesses and examples build Config
-// programmatically; files are for end users.
+// "cluster.machines"). examples/vmlp_sim_cli reads its run settings this way.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace vmlp {
 
@@ -22,12 +21,6 @@ class Config {
   /// Parse a file from disk. Throws ConfigError if unreadable.
   static Config parse_file(const std::string& path);
 
-  void set(const std::string& key, const std::string& value);
-  void set_int(const std::string& key, std::int64_t value);
-  void set_double(const std::string& key, double value);
-  void set_bool(const std::string& key, bool value);
-
-  [[nodiscard]] bool contains(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
   /// Typed getters with defaults. Throw ConfigError if present but unparsable.
@@ -36,16 +29,7 @@ class Config {
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Required typed getters: throw ConfigError when the key is absent.
-  [[nodiscard]] std::string require_string(const std::string& key) const;
-  [[nodiscard]] std::int64_t require_int(const std::string& key) const;
-  [[nodiscard]] double require_double(const std::string& key) const;
-
-  [[nodiscard]] std::vector<std::string> keys() const;
   [[nodiscard]] std::size_t size() const { return values_.size(); }
-
-  /// Merge other into this; other's values win on conflicts.
-  void merge(const Config& other);
 
  private:
   std::map<std::string, std::string> values_;

@@ -118,13 +118,6 @@ double Rng::exponential_mean(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::pareto(double x_m, double alpha) {
-  VMLP_CHECK(x_m > 0.0 && alpha > 0.0);
-  double u = uniform();
-  while (u == 0.0) u = uniform();
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   VMLP_CHECK(!weights.empty());
   double total = 0.0;

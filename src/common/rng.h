@@ -50,8 +50,6 @@ class Rng {
   double lognormal_mean_cv(double mean, double cv);
   /// Exponential with the given mean (= 1/rate).
   double exponential_mean(double mean);
-  /// Pareto with scale x_m > 0 and shape alpha > 0 (heavy tail).
-  double pareto(double x_m, double alpha);
   /// Index in [0, weights.size()) drawn proportionally to weights.
   std::size_t weighted_index(const std::vector<double>& weights);
   /// Fisher-Yates shuffle.

@@ -7,7 +7,11 @@ namespace vmlp {
 std::string format_time(SimTime t) {
   char buf[64];
   if (t == kTimeInfinity) return "+inf";
-  if (t < 0) return "-" + format_time(-t);
+  if (t < 0) {
+    std::string out = "-";
+    out += format_time(-t);
+    return out;
+  }
   if (t >= kSec) {
     std::snprintf(buf, sizeof(buf), "%.3fs", static_cast<double>(t) / kSec);
   } else if (t >= kMsec) {

@@ -127,8 +127,12 @@ std::unordered_map<std::uint64_t, std::vector<const trace::Span*>> group_spans(
 }  // namespace
 
 std::vector<std::string> attribution_phase_columns() {
-  // Literal Phase names in trace::Phase declaration order — see header.
-  return {"network", "queue", "exec", "lost_exec", "backoff", "heal"};
+  std::vector<std::string> columns;
+  columns.reserve(trace::kPhaseCount);
+  for (std::size_t p = 0; p < trace::kPhaseCount; ++p) {
+    columns.emplace_back(trace::phase_name(static_cast<trace::Phase>(p)));
+  }
+  return columns;
 }
 
 void print_attribution_report(const ObsCapture& capture, std::ostream& out) {

@@ -57,10 +57,8 @@ std::vector<std::string> failure_table_header();
 /// One run's failure metrics formatted for a Table row.
 std::vector<std::string> failure_cells(const sched::RunResult& r);
 
-/// Column titles for the attribution blame tables, one per trace::Phase in
-/// declaration order. Spelled as literals (not via trace::phase_name) so
-/// tools/vmlp_lint.py can statically prove every Phase has a report column;
-/// tests/test_critical_path.cpp pins the literals against phase_name().
+/// Column titles for the attribution blame tables: trace::phase_name() of
+/// each trace::Phase, in declaration order.
 std::vector<std::string> attribution_phase_columns();
 
 /// Print the per-request-class latency attribution report: for each request

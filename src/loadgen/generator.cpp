@@ -6,13 +6,6 @@
 
 namespace vmlp::loadgen {
 
-RequestMix::RequestMix(std::vector<MixEntry> entries) : entries_(std::move(entries)) {
-  for (const auto& e : entries_) {
-    VMLP_CHECK_MSG(e.weight >= 0.0, "negative mix weight");
-    weights_.push_back(e.weight);
-  }
-}
-
 void RequestMix::add(RequestTypeId type, double weight) {
   VMLP_CHECK_MSG(weight >= 0.0, "negative mix weight");
   entries_.push_back(MixEntry{type, weight});

@@ -28,9 +28,6 @@ struct MixEntry {
 
 class RequestMix {
  public:
-  RequestMix() = default;
-  explicit RequestMix(std::vector<MixEntry> entries);
-
   void add(RequestTypeId type, double weight);
   [[nodiscard]] const std::vector<MixEntry>& entries() const { return entries_; }
   [[nodiscard]] bool empty() const { return entries_.empty(); }

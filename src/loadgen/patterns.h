@@ -40,7 +40,6 @@ class WorkloadPattern {
   /// Build a pattern; `seed` drives L2's random walk (ignored by L1/L3).
   static WorkloadPattern make(PatternKind kind, const PatternParams& params, std::uint64_t seed);
 
-  [[nodiscard]] PatternKind kind() const { return kind_; }
   [[nodiscard]] const PatternParams& params() const { return params_; }
 
   /// Instantaneous arrival rate (req/s) at simulated time t; 0 outside

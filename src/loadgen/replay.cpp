@@ -1,11 +1,7 @@
 #include "loadgen/replay.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.h"
 
@@ -25,45 +21,6 @@ void save_arrivals_csv_file(const std::vector<Arrival>& arrivals,
   if (!out) throw ConfigError("cannot open for writing: " + path);
   save_arrivals_csv(arrivals, application, out);
   if (!out) throw ConfigError("write failed: " + path);
-}
-
-std::vector<Arrival> load_arrivals_csv(const app::Application& application, std::istream& in) {
-  std::vector<Arrival> arrivals;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (lineno == 1 && line.rfind("time_us", 0) == 0) continue;  // header
-    const std::size_t comma = line.find(',');
-    if (comma == std::string::npos) {
-      throw ConfigError("arrival CSV line " + std::to_string(lineno) + ": expected 2 columns");
-    }
-    const std::string time_str = line.substr(0, comma);
-    const std::string name = line.substr(comma + 1);
-    char* end = nullptr;
-    const long long t = std::strtoll(time_str.c_str(), &end, 10);
-    if (end == time_str.c_str() || *end != '\0' || t < 0) {
-      throw ConfigError("arrival CSV line " + std::to_string(lineno) + ": bad time '" +
-                        time_str + "'");
-    }
-    const auto type = application.find_request(name);
-    if (!type.has_value()) {
-      throw ConfigError("arrival CSV line " + std::to_string(lineno) +
-                        ": unknown request type '" + name + "'");
-    }
-    arrivals.push_back(Arrival{static_cast<SimTime>(t), *type});
-  }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const Arrival& a, const Arrival& b) { return a.time < b.time; });
-  return arrivals;
-}
-
-std::vector<Arrival> load_arrivals_csv_file(const app::Application& application,
-                                            const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open arrival trace: " + path);
-  return load_arrivals_csv(application, in);
 }
 
 }  // namespace vmlp::loadgen

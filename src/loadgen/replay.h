@@ -1,6 +1,5 @@
-// Arrival-trace persistence: save a generated request stream to CSV and
-// replay it later — the "realistic traces as input" path of the paper's
-// trace-driven evaluation (Fig. 8), decoupled from the synthetic generator.
+// Arrival-trace export: save a generated request stream to CSV (the
+// `export.arrivals_csv` output of examples/vmlp_sim_cli).
 //
 // Format: header `time_us,request_type` followed by one row per arrival,
 // request types by *name* so traces survive application re-ordering.
@@ -20,11 +19,5 @@ void save_arrivals_csv(const std::vector<Arrival>& arrivals, const app::Applicat
                        std::ostream& out);
 void save_arrivals_csv_file(const std::vector<Arrival>& arrivals,
                             const app::Application& application, const std::string& path);
-
-/// Parse arrivals from CSV. Throws ConfigError on malformed rows or unknown
-/// request-type names. Result is sorted by time.
-std::vector<Arrival> load_arrivals_csv(const app::Application& application, std::istream& in);
-std::vector<Arrival> load_arrivals_csv_file(const app::Application& application,
-                                            const std::string& path);
 
 }  // namespace vmlp::loadgen

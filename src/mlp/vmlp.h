@@ -34,7 +34,6 @@ class VmlpScheduler final : public sched::IScheduler {
 
   [[nodiscard]] const SelfOrganizing* organizer() const { return organizer_.get(); }
   [[nodiscard]] const SelfHealing* healer() const { return healer_.get(); }
-  [[nodiscard]] std::size_t waiting_count() const { return waiting_.size(); }
   /// Late/stuck stages moved to a better machine (Fig. 7's "relocation of
   /// late-invoking" microservices).
   [[nodiscard]] std::size_t relocations() const { return relocations_; }

@@ -11,8 +11,7 @@ ClusterMonitor::ClusterMonitor(const cluster::Cluster& clustr, SimDuration perio
       horizon_(horizon),
       overall_(bucket, horizon),
       cpu_(bucket, horizon),
-      mem_(bucket, horizon),
-      io_(bucket, horizon) {
+      mem_(bucket, horizon) {
   VMLP_CHECK_MSG(period > 0, "monitor period must be positive");
 }
 
@@ -29,7 +28,6 @@ void ClusterMonitor::sample(SimTime now) {
   overall_.add(now, overall);
   cpu_.add(now, capacity.cpu > 0 ? usage.cpu / capacity.cpu : 0.0);
   mem_.add(now, capacity.mem > 0 ? usage.mem / capacity.mem : 0.0);
-  io_.add(now, capacity.io > 0 ? usage.io / capacity.io : 0.0);
 
   latest_ = UtilizationSnapshot{now, overall, usage, capacity};
   ++samples_;

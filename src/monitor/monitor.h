@@ -2,7 +2,7 @@
 //
 // A ClusterMonitor samples every machine's usage on a fixed period driven by
 // the simulation engine and accumulates: the paper's overall utilization
-// U(t) series (Fig. 11), per-resource cluster series, and instantaneous
+// U(t) series (Fig. 11), cpu and memory cluster series, and instantaneous
 // snapshots for schedulers that allocate by current load.
 #pragma once
 
@@ -37,10 +37,8 @@ class ClusterMonitor {
   [[nodiscard]] const stats::TimeSeries& overall_series() const { return overall_; }
   [[nodiscard]] const stats::TimeSeries& cpu_series() const { return cpu_; }
   [[nodiscard]] const stats::TimeSeries& mem_series() const { return mem_; }
-  [[nodiscard]] const stats::TimeSeries& io_series() const { return io_; }
   [[nodiscard]] const UtilizationSnapshot& latest() const { return latest_; }
   [[nodiscard]] std::size_t sample_count() const { return samples_; }
-  [[nodiscard]] SimDuration period() const { return period_; }
 
   /// Mean of U over all samples taken so far.
   [[nodiscard]] double mean_overall() const;
@@ -52,7 +50,6 @@ class ClusterMonitor {
   stats::TimeSeries overall_;
   stats::TimeSeries cpu_;
   stats::TimeSeries mem_;
-  stats::TimeSeries io_;
   UtilizationSnapshot latest_;
   std::size_t samples_ = 0;
   double overall_sum_ = 0.0;

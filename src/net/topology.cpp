@@ -10,15 +10,4 @@ Topology::Topology(std::size_t machines, std::size_t machines_per_rack)
   VMLP_CHECK_MSG(machines_per_rack > 0, "machines_per_rack must be positive");
 }
 
-std::size_t Topology::rack_count() const { return (machines_ + per_rack_ - 1) / per_rack_; }
-
-const char* distance_name(Distance d) {
-  switch (d) {
-    case Distance::kSameMachine: return "same-machine";
-    case Distance::kSameRack: return "same-rack";
-    case Distance::kCrossRack: return "cross-rack";
-  }
-  return "?";
-}
-
 }  // namespace vmlp::net

@@ -17,7 +17,6 @@ class Topology {
   Topology(std::size_t machines, std::size_t machines_per_rack);
 
   [[nodiscard]] std::size_t machine_count() const { return machines_; }
-  [[nodiscard]] std::size_t rack_count() const;
   // rack_of/distance are defined in the header: the admission planner's
   // desired-start estimation calls them per (parent, candidate machine)
   // probe — tens of millions of times on a contended cell. The range check
@@ -36,7 +35,5 @@ class Topology {
   std::size_t machines_;
   std::size_t per_rack_;
 };
-
-const char* distance_name(Distance d);
 
 }  // namespace vmlp::net

@@ -155,8 +155,9 @@ Collector::Collector(std::size_t topology_cells) : ring_(kRingCapacity) {
 
   // Latency-attribution families: one per volatility band, in
   // app::VolatilityBand declaration order. Phase suffixes follow
-  // trace::Phase declaration order (trace/critical_path.h); the recording
-  // site static_asserts the counts match.
+  // trace::Phase declaration order and trace::phase_name's spelling
+  // (trace/critical_path.h); the recording site static_asserts the counts
+  // match and CriticalPath.PhaseNamesCoverEnumInOrder checks the names.
   static constexpr const char* kBandNames[AttributionMetrics::kBands] = {"low", "mid", "high"};
   static constexpr const char* kPhaseSuffixes[AttributionMetrics::kPhases] = {
       "network", "queue", "exec", "lost_exec", "backoff", "heal"};

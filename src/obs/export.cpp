@@ -91,8 +91,6 @@ void PerfettoWriter::begin_event() {
   out_ << "\n";
 }
 
-void PerfettoWriter::append_number(std::string& out, double v) { out += number_text(v); }
-
 void PerfettoWriter::write_args(const Args& args) {
   out_ << ",\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -105,14 +103,6 @@ void PerfettoWriter::write_args(const Args& args) {
 void PerfettoWriter::process_name(std::uint64_t pid, const std::string& name) {
   begin_event();
   out_ << "{\"ph\":\"M\",\"pid\":" << pid << ",\"name\":\"process_name\"";
-  write_args({{"name", name}});
-  out_ << '}';
-}
-
-void PerfettoWriter::thread_name(std::uint64_t pid, std::uint64_t tid, const std::string& name) {
-  begin_event();
-  out_ << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-       << ",\"name\":\"thread_name\"";
   write_args({{"name", name}});
   out_ << '}';
 }
@@ -170,12 +160,6 @@ void write_policy_slices(PerfettoWriter& writer, const std::vector<PolicySlice>&
                     static_cast<double>(s.start_ns) / 1000.0,
                     static_cast<double>(s.dur_ns) / 1000.0);
   }
-}
-
-void write_collector_events(PerfettoWriter& writer, const Collector& collector,
-                            std::uint64_t decisions_pid, std::uint64_t host_pid) {
-  write_decision_events(writer, collector.events().ordered(), decisions_pid);
-  write_policy_slices(writer, collector.policy_slices(), host_pid);
 }
 
 }  // namespace vmlp::obs

@@ -36,7 +36,6 @@ class PerfettoWriter {
   explicit PerfettoWriter(std::ostream& out);
 
   void process_name(std::uint64_t pid, const std::string& name);
-  void thread_name(std::uint64_t pid, std::uint64_t tid, const std::string& name);
   /// "X" complete event: a slice [ts_us, ts_us + dur_us).
   void complete(std::uint64_t pid, std::uint64_t tid, const std::string& cat,
                 const std::string& name, double ts_us, double dur_us, const Args& args = {});
@@ -49,7 +48,6 @@ class PerfettoWriter {
  private:
   void begin_event();
   void write_args(const Args& args);
-  static void append_number(std::string& out, double v);
 
   std::ostream& out_;
   bool first_ = true;
@@ -64,8 +62,5 @@ void write_decision_events(PerfettoWriter& writer, const std::vector<DecisionEve
 /// since the run's policy epoch, emitted as trace microseconds.
 void write_policy_slices(PerfettoWriter& writer, const std::vector<PolicySlice>& slices,
                          std::uint64_t pid);
-/// Convenience wrapper: both of the above straight from a live collector.
-void write_collector_events(PerfettoWriter& writer, const Collector& collector,
-                            std::uint64_t decisions_pid, std::uint64_t host_pid);
 
 }  // namespace vmlp::obs

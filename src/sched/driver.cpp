@@ -6,7 +6,6 @@
 
 #include "common/audit.h"
 #include "common/error.h"
-#include "common/log.h"
 
 namespace vmlp::sched {
 

@@ -236,11 +236,8 @@ class SimulationDriver {
   [[nodiscard]] const app::Application& application() const { return app_; }
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] const net::Topology& topology() const { return topology_; }
-  [[nodiscard]] net::CommModel& comm_model() { return comm_; }
-  [[nodiscard]] const app::ExecModel& exec_model() const { return exec_; }
   [[nodiscard]] trace::ProfileStore& profiles() { return profiles_; }
   [[nodiscard]] const monitor::ClusterMonitor& cluster_monitor() const { return monitor_; }
-  [[nodiscard]] stats::QosTracker& qos() { return qos_; }
   [[nodiscard]] trace::Tracer& tracer() { return tracer_; }
   /// Telemetry collector; nullptr when DriverParams::obs.enabled is false.
   /// Subsystems and schedulers may record through it but must never read
@@ -303,7 +300,6 @@ class SimulationDriver {
   /// Volatility of a request type (cached).
   [[nodiscard]] double volatility(RequestTypeId type) const;
 
-  [[nodiscard]] std::size_t arrived_count() const { return arrived_; }
   [[nodiscard]] std::size_t completed_count() const { return completed_; }
 
   /// Mechanism counters (observability for tests and ablations).

@@ -7,30 +7,6 @@
 
 namespace vmlp::stats {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  VMLP_CHECK_MSG(hi > lo && bins > 0, "histogram lo=" << lo << " hi=" << hi << " bins=" << bins);
-}
-
-std::size_t Histogram::bin_index(double x) const {
-  if (x < lo_) return 0;
-  if (x >= hi_) return counts_.size() - 1;
-  const auto i = static_cast<std::size_t>((x - lo_) / width_);
-  return std::min(i, counts_.size() - 1);
-}
-
-void Histogram::add(double x, double weight) {
-  counts_[bin_index(x)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-double Histogram::fraction(std::size_t i) const {
-  return total_ == 0.0 ? 0.0 : counts_[i] / total_;
-}
-
 Histogram2D::Histogram2D(std::size_t rows, double col_lo, double col_hi, std::size_t cols)
     : rows_(rows),
       cols_(cols),

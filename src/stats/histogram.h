@@ -1,37 +1,11 @@
-// Fixed-bin histograms: 1-D for distribution summaries and 2-D for the
-// communication-time heat map of Fig. 4 (callee × latency-range frequency).
+// Fixed-bin 2-D histogram: the communication-time heat map of Fig. 4
+// (callee × latency-range frequency).
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace vmlp::stats {
-
-class Histogram {
- public:
-  /// Uniform bins over [lo, hi); values outside clamp to the end bins.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total() const { return total_; }
-  /// Fraction of total mass in bin i (0 when empty).
-  [[nodiscard]] double fraction(std::size_t i) const;
-  /// Index of the bin x falls into (after clamping).
-  [[nodiscard]] std::size_t bin_index(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
 
 /// Row-major 2-D frequency table: rows are categories (e.g. callee service),
 /// columns are uniform value bins (e.g. latency ranges).
@@ -42,7 +16,6 @@ class Histogram2D {
   void add(std::size_t row, double x, double weight = 1.0);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] double count(std::size_t row, std::size_t col) const;
   [[nodiscard]] double row_total(std::size_t row) const;
   /// Frequency of (row, col) relative to the row's total, as plotted in Fig. 4.

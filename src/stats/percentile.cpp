@@ -12,19 +12,6 @@ void SampleSet::add(double x) {
   sorted_valid_ = false;
 }
 
-void SampleSet::add_all(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_valid_ = false;
-}
-
-void SampleSet::merge(const SampleSet& other) { add_all(other.samples_); }
-
-void SampleSet::clear() {
-  samples_.clear();
-  sorted_.clear();
-  sorted_valid_ = false;
-}
-
 void SampleSet::ensure_sorted() const {
   if (sorted_valid_) return;
   sorted_ = samples_;
@@ -49,32 +36,6 @@ double SampleSet::mean() const {
   double s = 0.0;
   for (double x : samples_) s += x;
   return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::fraction_above(double threshold) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), threshold);
-  return static_cast<double>(sorted_.end() - it) / static_cast<double>(sorted_.size());
-}
-
-double SampleSet::cdf(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
-std::vector<std::pair<double, double>> SampleSet::cdf_points(std::size_t n) const {
-  VMLP_CHECK(n >= 2);
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty()) return out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(n - 1);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
 }
 
 }  // namespace vmlp::stats

@@ -1,4 +1,4 @@
-// Exact quantiles over retained samples plus an empirical CDF view.
+// Exact quantiles over retained samples.
 //
 // Evaluation-scale sample counts (≤ a few million doubles) fit comfortably in
 // memory, so we keep exact samples rather than sketching; quantile queries
@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace vmlp::stats {
@@ -14,10 +13,7 @@ namespace vmlp::stats {
 class SampleSet {
  public:
   void add(double x);
-  void add_all(const std::vector<double>& xs);
-  void merge(const SampleSet& other);
   void reserve(std::size_t n) { samples_.reserve(n); }
-  void clear();
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
@@ -26,23 +22,10 @@ class SampleSet {
   /// Throws InvariantError when empty or q out of range.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
-  [[nodiscard]] double p90() const { return quantile(0.90); }
   [[nodiscard]] double p99() const { return quantile(0.99); }
   [[nodiscard]] double mean() const;
   [[nodiscard]] double min() const { return quantile(0.0); }
   [[nodiscard]] double max() const { return quantile(1.0); }
-
-  /// Fraction of samples strictly greater than threshold.
-  [[nodiscard]] double fraction_above(double threshold) const;
-
-  /// Empirical CDF evaluated at x: P(X <= x).
-  [[nodiscard]] double cdf(double x) const;
-
-  /// (value, cumulative probability) pairs at n evenly spaced quantiles —
-  /// the series the paper plots in its CDF figures.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf_points(std::size_t n) const;
-
-  [[nodiscard]] const std::vector<double>& raw() const { return samples_; }
 
  private:
   void ensure_sorted() const;

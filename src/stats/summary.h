@@ -9,8 +9,6 @@ namespace vmlp::stats {
 class Summary {
  public:
   void add(double x);
-  void merge(const Summary& other);
-  void reset();
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -21,8 +19,6 @@ class Summary {
   /// Sample variance (n-1 denominator); NaN when count < 2.
   [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
-  /// Coefficient of variation (stddev/mean); NaN when mean == 0 or empty.
-  [[nodiscard]] double cv() const;
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
   [[nodiscard]] double sum() const { return sum_; }

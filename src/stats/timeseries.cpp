@@ -34,19 +34,6 @@ void TimeSeries::add(SimTime t, double value) {
   counts_[i] += 1;
 }
 
-void TimeSeries::increment(SimTime t, double delta) {
-  const std::size_t i = index(t);
-  if (i == kOutOfRange) {
-    ++dropped_;
-    return;
-  }
-  sums_[i] += delta;
-}
-
-SimTime TimeSeries::bucket_start(std::size_t i) const {
-  return static_cast<SimTime>(i) * bucket_;
-}
-
 double TimeSeries::mean(std::size_t i) const {
   return counts_[i] == 0 ? 0.0 : sums_[i] / static_cast<double>(counts_[i]);
 }
@@ -56,7 +43,5 @@ std::vector<double> TimeSeries::mean_series() const {
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = mean(i);
   return out;
 }
-
-std::vector<double> TimeSeries::sum_series() const { return sums_; }
 
 }  // namespace vmlp::stats

@@ -20,14 +20,10 @@ class TimeSeries {
   /// silently corrupts the first/last bucket means. Under VMLP_AUDIT an
   /// out-of-range sample is a hard error: it means the caller's clock is off.
   void add(SimTime t, double value);
-  /// Record an increment (counting semantics: bucket value = sum not mean).
-  void increment(SimTime t, double delta = 1.0);
 
   [[nodiscard]] std::size_t bucket_count() const { return sums_.size(); }
   /// Observations rejected because t < 0 or t >= horizon.
   [[nodiscard]] std::size_t dropped() const { return dropped_; }
-  [[nodiscard]] SimTime bucket_start(std::size_t i) const;
-  [[nodiscard]] SimDuration bucket_width() const { return bucket_; }
   /// Mean of observations in bucket i; 0 when the bucket is empty.
   [[nodiscard]] double mean(std::size_t i) const;
   /// Sum of observations in bucket i.
@@ -36,8 +32,6 @@ class TimeSeries {
 
   /// Per-bucket means, one entry per bucket.
   [[nodiscard]] std::vector<double> mean_series() const;
-  /// Per-bucket sums.
-  [[nodiscard]] std::vector<double> sum_series() const;
 
  private:
   /// Bucket for an in-range t, or npos when the sample must be dropped.

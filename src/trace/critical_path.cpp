@@ -24,13 +24,6 @@ SimDuration CriticalPathResult::phase_sum() const {
   return sum;
 }
 
-bool CriticalPathResult::on_path(std::uint32_t node) const {
-  for (const CriticalStep& s : steps) {
-    if (s.span->node == node) return true;
-  }
-  return false;
-}
-
 void PhaseLedger::stamp(Span& span) const {
   for (const Segment& seg : segments_) {
     const SimTime lo = std::max(seg.begin, span.startable_at);

@@ -46,8 +46,8 @@ namespace vmlp::trace {
 
 /// Causal phases a request spends its end-to-end latency in. Order matters:
 /// report tables and the obs `attribution.<band>.*` histogram families index
-/// by it, and tools/vmlp_lint.py checks every member appears in the report
-/// table (no silent phase drops).
+/// by it. Report columns are built from phase_name(), whose switch -Wswitch
+/// checks for a missing member.
 enum class Phase : std::uint8_t {
   kNetwork = 0,  ///< dependency/ingress message transfer
   kQueue,        ///< admission wait: startable but not yet executing
@@ -57,6 +57,8 @@ enum class Phase : std::uint8_t {
   kHeal,         ///< relocation/heal wait for a replacement placement
 };
 inline constexpr std::size_t kPhaseCount = 6;
+static_assert(kPhaseCount == static_cast<std::size_t>(Phase::kHeal) + 1,
+              "kPhaseCount must count every Phase member (kHeal is the last)");
 
 /// Stable snake_case name ("network", "queue", "exec", "lost_exec",
 /// "backoff", "heal") — used for report columns and metric-name suffixes.
@@ -142,8 +144,6 @@ struct CriticalPathResult {
 
   /// Σ totals — equals `latency` exactly for driver-recorded requests.
   [[nodiscard]] SimDuration phase_sum() const;
-  /// True when `node` is on the blocking chain.
-  [[nodiscard]] bool on_path(std::uint32_t node) const;
 };
 
 /// Extract the blocking chain from one request's recorded spans (one span

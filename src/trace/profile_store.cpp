@@ -20,12 +20,10 @@ void ProfileStore::record(ServiceTypeId service, RequestTypeId request_type,
   } else {
     const ExecutionCase& evicted = ring.cases[ring.next];
     ring.exec_sum -= static_cast<double>(evicted.exec_time);
-    ring.usage_sum -= evicted.usage;
     ring.cases[ring.next] = c;
     ring.next = (ring.next + 1) % capacity_;
   }
   ring.exec_sum += static_cast<double>(c.exec_time);
-  ring.usage_sum += c.usage;
   ++ring.revision;
 }
 
@@ -104,13 +102,6 @@ std::optional<SimDuration> ProfileStore::quantile_of_recent(ServiceTypeId servic
       static_cast<SimDuration>(std::llround(lo_value * (1.0 - frac) + hi_value * frac));
   ring->cached_quantiles[key] = CachedValue{ring->revision, value};
   return value;
-}
-
-std::optional<cluster::ResourceVector> ProfileStore::mean_usage(
-    ServiceTypeId service, RequestTypeId request_type) const {
-  const Ring* ring = find(service, request_type);
-  if (ring == nullptr || ring->cases.empty()) return std::nullopt;
-  return ring->usage_sum * (1.0 / static_cast<double>(ring->cases.size()));
 }
 
 std::vector<SimDuration> ProfileStore::exec_times(ServiceTypeId service,

@@ -49,10 +49,6 @@ class ProfileStore {
   [[nodiscard]] std::optional<SimDuration> quantile_of_recent(ServiceTypeId service,
                                                               RequestTypeId request_type, double q,
                                                               double x_percent) const;
-  /// Mean resource usage across history (profile-driven baselines use this).
-  [[nodiscard]] std::optional<cluster::ResourceVector> mean_usage(
-      ServiceTypeId service, RequestTypeId request_type) const;
-
   /// All recorded Δt values (oldest first), for characterization benches.
   [[nodiscard]] std::vector<SimDuration> exec_times(ServiceTypeId service,
                                                     RequestTypeId request_type) const;
@@ -93,7 +89,6 @@ class ProfileStore {
     std::uint64_t revision = 0;        // total records ever
     // O(1) aggregates maintained incrementally.
     double exec_sum = 0.0;
-    cluster::ResourceVector usage_sum;
     // Hot queries are answered from these caches, refreshed after
     // kCacheStaleness new records (Algorithm 1 calls them per stage, per
     // planning attempt — recomputation each call would sort the ring).

@@ -65,6 +65,9 @@ class Tracer {
     VMLP_CHECK_MSG(!released_any_, "spans() after release_request() — slots were recycled");
     return spans_;
   }
+  /// Span slots allocated so far, live or on the free list. With completed
+  /// requests released, this stays at the in-flight set's peak span count.
+  [[nodiscard]] std::size_t span_slots() const { return spans_.size(); }
   [[nodiscard]] const RequestRecord* find_request(RequestId id) const;
   [[nodiscard]] std::size_t request_count() const { return arrived_; }
   [[nodiscard]] std::size_t completed_count() const { return completed_; }

@@ -67,15 +67,10 @@ TEST(Machine, RemoveMissingThrows) {
 TEST(Machine, UsageAndOversubscription) {
   Machine m(MachineId(0), {1000, 2000, 100});
   m.add_container(ContainerId(1), InstanceId(1), {600, 500, 40}, {600, 500, 40});
-  EXPECT_FALSE(m.oversubscribed());
-  EXPECT_DOUBLE_EQ(m.contention_factor(), 1.0);
   m.add_container(ContainerId(2), InstanceId(2), {600, 500, 40}, {600, 500, 40});
-  EXPECT_TRUE(m.oversubscribed());
-  EXPECT_DOUBLE_EQ(m.contention_factor(), 1.2);  // 1200/1000 cpu
   // Physical usage clamps to capacity even when limits exceed it.
   EXPECT_EQ(m.current_usage().cpu, 1000);
   EXPECT_EQ(m.allocated().cpu, 1200);
-  EXPECT_EQ(m.demanded().cpu, 1200);
 }
 
 TEST(Machine, UtilizationSum) {
@@ -85,22 +80,11 @@ TEST(Machine, UtilizationSum) {
   EXPECT_DOUBLE_EQ(m.utilization_sum(), 1.5);  // 0.5 + 0.5 + 0.5
 }
 
-TEST(Machine, ContainerIdsSorted) {
-  Machine m(MachineId(0), {1000, 2000, 100});
-  m.add_container(ContainerId(5), InstanceId(1), {1, 1, 1}, {1, 1, 1});
-  m.add_container(ContainerId(2), InstanceId(2), {1, 1, 1}, {1, 1, 1});
-  m.add_container(ContainerId(9), InstanceId(3), {1, 1, 1}, {1, 1, 1});
-  const auto ids = m.container_ids();
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[0], ContainerId(2));
-  EXPECT_EQ(ids[2], ContainerId(9));
-}
-
 TEST(Cluster, Construction) {
   Cluster c(small_params());
   EXPECT_EQ(c.machine_count(), 4u);
   EXPECT_EQ(c.machine(MachineId(3)).id(), MachineId(3));
-  EXPECT_THROW(c.machine(MachineId(4)), InvariantError);
+  EXPECT_THROW((void)c.machine(MachineId(4)), InvariantError);
 }
 
 TEST(Cluster, TotalCapacity) {

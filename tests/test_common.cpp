@@ -1,15 +1,13 @@
-// Common utilities: SimTime formatting, strong ids, Config, logging,
+// Common utilities: SimTime formatting, strong ids, Config,
 // annotated synchronization primitives.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/config.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "common/mutex.h"
 #include "common/types.h"
 
@@ -205,67 +203,13 @@ TEST(Config, MalformedLinesThrow) {
 
 TEST(Config, BadTypedValuesThrow) {
   const auto cfg = Config::parse("x = notanumber\n");
-  EXPECT_THROW(cfg.get_int("x", 0), ConfigError);
-  EXPECT_THROW(cfg.get_double("x", 0.0), ConfigError);
-  EXPECT_THROW(cfg.get_bool("x", false), ConfigError);
-}
-
-TEST(Config, RequireThrowsWhenAbsent) {
-  const Config cfg;
-  EXPECT_THROW(cfg.require_string("k"), ConfigError);
-  EXPECT_THROW(cfg.require_int("k"), ConfigError);
-  EXPECT_THROW(cfg.require_double("k"), ConfigError);
-}
-
-TEST(Config, SettersRoundTrip) {
-  Config cfg;
-  cfg.set_int("i", -5);
-  cfg.set_double("d", 1.25);
-  cfg.set_bool("b", true);
-  cfg.set("s", "str");
-  EXPECT_EQ(cfg.require_int("i"), -5);
-  EXPECT_DOUBLE_EQ(cfg.require_double("d"), 1.25);
-  EXPECT_TRUE(cfg.get_bool("b", false));
-  EXPECT_EQ(cfg.require_string("s"), "str");
-}
-
-TEST(Config, MergePrefersOther) {
-  Config a = Config::parse("x = 1\ny = 2\n");
-  const Config b = Config::parse("y = 3\nz = 4\n");
-  a.merge(b);
-  EXPECT_EQ(a.get_int("x", 0), 1);
-  EXPECT_EQ(a.get_int("y", 0), 3);
-  EXPECT_EQ(a.get_int("z", 0), 4);
-}
-
-TEST(Config, KeysSorted) {
-  const auto cfg = Config::parse("b=1\na=2\n");
-  const auto keys = cfg.keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "a");
-  EXPECT_EQ(keys[1], "b");
+  EXPECT_THROW((void)cfg.get_int("x", 0), ConfigError);
+  EXPECT_THROW((void)cfg.get_double("x", 0.0), ConfigError);
+  EXPECT_THROW((void)cfg.get_bool("x", false), ConfigError);
 }
 
 TEST(Config, ParseFileMissingThrows) {
   EXPECT_THROW(Config::parse_file("/nonexistent/path/cfg.ini"), ConfigError);
-}
-
-TEST(Log, SinkCapturesMessages) {
-  std::ostringstream sink;
-  Logger::instance().set_sink(&sink);
-  Logger::instance().set_level(LogLevel::kInfo);
-  VMLP_INFO("hello " << 1);
-  VMLP_DEBUG("suppressed");
-  Logger::instance().set_sink(nullptr);
-  Logger::instance().set_level(LogLevel::kWarn);
-  const std::string out = sink.str();
-  EXPECT_NE(out.find("hello 1"), std::string::npos);
-  EXPECT_EQ(out.find("suppressed"), std::string::npos);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(log_level_name(LogLevel::kError), "ERROR");
 }
 
 TEST(Mutex, GuardedCounterIsRaceFree) {

@@ -11,6 +11,8 @@
 
 #include "app/dag.h"
 #include "common/audit.h"
+#include "common/error.h"
+#include "exp/experiment.h"
 #include "obs/collector.h"
 #include "obs/registry.h"
 #include "exp/report.h"
@@ -42,15 +44,37 @@ std::vector<const Span*> ptrs(const std::vector<Span>& spans) {
 }
 
 TEST(CriticalPath, PhaseNamesCoverEnumInOrder) {
-  // The report columns are spelled as literals for the lint rule; they must
-  // stay in lockstep with the Phase enum.
+  // The report columns are phase_name() of each Phase, in enum order.
   const auto columns = exp::attribution_phase_columns();
   ASSERT_EQ(columns.size(), kPhaseCount);
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
     EXPECT_EQ(columns[p], phase_name(static_cast<Phase>(p))) << "phase " << p;
   }
-  // Collector's mirrored constant (obs cannot include trace headers).
-  EXPECT_EQ(kPhaseCount, obs::Collector::AttributionMetrics::kPhases);
+  // The collector spells its own histogram suffixes (obs cannot include
+  // trace headers): each attribution.<band>.<phase>_share must carry
+  // phase_name's spelling and be bound to that phase's handle. Observing
+  // p + 1 samples through handle p tells the handles apart by count.
+  ASSERT_EQ(kPhaseCount, obs::Collector::AttributionMetrics::kPhases);
+  obs::Collector collector(1);
+  const auto& attribution = collector.attribution();
+  const char* const bands[] = {"low", "mid", "high"};
+  for (std::size_t b = 0; b < obs::Collector::AttributionMetrics::kBands; ++b) {
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      for (std::size_t i = 0; i <= p; ++i) {
+        collector.observe(attribution.band[b].phase_share[p], 0.5);
+      }
+    }
+  }
+  const obs::Snapshot snap = collector.snapshot();
+  for (std::size_t b = 0; b < obs::Collector::AttributionMetrics::kBands; ++b) {
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      const std::string name = std::string("attribution.") + bands[b] + "." +
+                               phase_name(static_cast<Phase>(p)) + "_share";
+      const obs::MetricSnapshot* m = snap.find(name);
+      ASSERT_NE(m, nullptr) << name;
+      EXPECT_EQ(m->hist.count, p + 1) << name;
+    }
+  }
 }
 
 TEST(CriticalPath, DiamondFollowsBlockingArmAndTelescopes) {
@@ -73,8 +97,6 @@ TEST(CriticalPath, DiamondFollowsBlockingArmAndTelescopes) {
   EXPECT_EQ(path.steps[0].span->node, 0u);
   EXPECT_EQ(path.steps[1].span->node, 2u);
   EXPECT_EQ(path.steps[2].span->node, 3u);
-  EXPECT_TRUE(path.on_path(2));
-  EXPECT_FALSE(path.on_path(1));
 
   EXPECT_EQ(path.latency, 400);
   EXPECT_EQ(path.phase_sum(), path.latency);  // exact, no tick tolerance
@@ -228,6 +250,138 @@ TEST(CriticalPathDriver, RecordedRequestsTelescopeExactlyUnderFailures) {
     EXPECT_EQ(len->hist.count, m->hist.count) << band;
   }
   EXPECT_EQ(share_count, r.completed);
+}
+
+TEST(CriticalPathDriver, HealPhaseReadsTimeOnContendedCrashingCell) {
+  // PartProfile on 6 machines with 1 crash/s and 1.5 s recoveries: a lost
+  // node often finds no machine to re-place on in the event that returns
+  // it, so its heal interval stays open into its final wait window. (On
+  // roomier cells every scheme re-places at once and heal reads 0.)
+  const bool prev = audit::enabled();
+  audit::set_enabled(true);
+  auto application = workloads::make_benchmark_suite();
+  auto scheduler = exp::make_scheduler(exp::SchemeKind::kPartProfile);
+  sched::DriverParams p;
+  p.horizon = 4 * kSec;
+  p.cluster.machine_count = 6;
+  p.machines_per_rack = 5;
+  p.seed = 2022;
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 1.0;
+  p.failure.recovery_mean = 1500 * kMsec;
+  p.failure.container_fault_prob = 0.05;
+  sched::SimulationDriver driver(*application, *scheduler, p);
+  loadgen::PatternParams pp;
+  pp.horizon = p.horizon;
+  pp.base_rate = 40.0;
+  pp.max_rate = 80.0;
+  pp.peak_time = p.horizon / 2;
+  const auto pattern =
+      loadgen::WorkloadPattern::make(loadgen::PatternKind::kL2Fluctuating, pp, 3);
+  Rng rng(3);
+  driver.load_arrivals(loadgen::generate_arrivals(
+      pattern, loadgen::RequestMix::all(*application), rng));
+  const sched::RunResult r = driver.run();
+  audit::set_enabled(prev);
+
+  SimDuration heal = 0;
+  for (const Span& s : driver.tracer().spans()) heal += s.heal_us;
+  EXPECT_GT(heal, 0);
+
+  std::size_t checked = 0;
+  for (const RequestRecord* rec : driver.tracer().requests()) {
+    if (!rec->finished()) continue;
+    const app::Dag& dag = application->request(rec->type).dag();
+    const auto path = extract_critical_path(*rec, driver.tracer().spans_of(rec->id), &dag);
+    EXPECT_EQ(path.phase_sum(), rec->latency()) << "request " << rec->id.value();
+    ++checked;
+  }
+  EXPECT_EQ(checked, r.completed);
+  EXPECT_GT(checked, 100u);
+}
+
+/// Outcome and attribution histograms of one streamed run with a collector,
+/// plus what its tracer retains afterwards.
+struct StreamedRun {
+  sched::RunResult result;
+  std::vector<obs::MetricSnapshot> attribution;  ///< every attribution.* metric
+  std::size_t span_slots = 0;
+  bool spans_view_throws = false;
+};
+
+StreamedRun run_streamed(bool release_completed) {
+  auto application = workloads::make_benchmark_suite();
+  sched::FairSched scheduler;
+  sched::DriverParams p;
+  p.horizon = 4 * kSec;
+  p.cluster.machine_count = 10;
+  p.machines_per_rack = 5;
+  p.seed = 2022;
+  p.obs.enabled = true;
+  p.trace_release_completed = release_completed;
+  sched::SimulationDriver driver(*application, scheduler, p);
+  loadgen::PatternParams pp;
+  pp.horizon = p.horizon;
+  pp.base_rate = 40.0;
+  pp.max_rate = 80.0;
+  pp.peak_time = p.horizon / 2;
+  const auto pattern = loadgen::WorkloadPattern::make(loadgen::PatternKind::kL1Pulse, pp, 3);
+  driver.stream_arrivals(
+      loadgen::ArrivalStream(pattern, loadgen::RequestMix::all(*application), Rng(3)));
+  StreamedRun run;
+  run.result = driver.run();
+  for (const obs::MetricSnapshot& m : driver.observer()->snapshot().metrics) {
+    if (m.name.rfind("attribution.", 0) == 0) run.attribution.push_back(m);
+  }
+  run.span_slots = driver.tracer().span_slots();
+  try {
+    (void)driver.tracer().spans();
+  } catch (const InvariantError&) {
+    run.spans_view_throws = true;
+  }
+  return run;
+}
+
+TEST(CriticalPathDriver, ReleaseOnCompletionMatchesRetainedSpans) {
+  const StreamedRun kept = run_streamed(/*release_completed=*/false);
+  const StreamedRun released = run_streamed(/*release_completed=*/true);
+  ASSERT_GT(kept.result.completed, 100u);
+
+  // Releasing a completed request's spans after its attribution pass moves
+  // no outcome and no attribution sample.
+  const sched::RunResult& a = kept.result;
+  const sched::RunResult& b = released.result;
+  EXPECT_EQ(a.arrived, b.arrived);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.unfinished, b.unfinished);
+  EXPECT_EQ(a.placements, b.placements);
+  EXPECT_EQ(a.qos_violation_rate, b.qos_violation_rate);
+  EXPECT_EQ(a.mean_utilization, b.mean_utilization);
+  EXPECT_EQ(a.p50_latency_us, b.p50_latency_us);
+  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us);
+  EXPECT_EQ(a.mean_latency_us, b.mean_latency_us);
+  EXPECT_EQ(a.throughput_rps, b.throughput_rps);
+  EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+  ASSERT_EQ(kept.attribution.size(), released.attribution.size());
+  std::uint64_t samples = 0;
+  for (std::size_t i = 0; i < kept.attribution.size(); ++i) {
+    const obs::MetricSnapshot& x = kept.attribution[i];
+    const obs::MetricSnapshot& y = released.attribution[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.hist.buckets, y.hist.buckets) << x.name;
+    EXPECT_EQ(x.hist.count, y.hist.count) << x.name;
+    EXPECT_EQ(x.hist.sum, y.hist.sum) << x.name;
+    samples += x.hist.count;
+  }
+  EXPECT_GT(samples, 0u);
+
+  // The flat span view is gone once slots recycle...
+  EXPECT_FALSE(kept.spans_view_throws);
+  EXPECT_TRUE(released.spans_view_throws);
+  // ...and slot storage tracks the in-flight requests, not the completed
+  // stream: a small fraction of what retaining every span needs.
+  EXPECT_LT(released.span_slots * 10, kept.span_slots)
+      << released.span_slots << " slots vs " << kept.span_slots << " retained";
 }
 
 // ---- when the attribution pass runs: spans + (collector or audit) ---------

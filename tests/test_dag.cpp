@@ -32,9 +32,6 @@ TEST(Dag, SingleNode) {
   Dag d(1);
   EXPECT_TRUE(d.is_acyclic());
   EXPECT_EQ(d.topo_order(), std::vector<std::size_t>{0});
-  EXPECT_EQ(d.roots(), std::vector<std::size_t>{0});
-  EXPECT_EQ(d.sinks(), std::vector<std::size_t>{0});
-  EXPECT_EQ(d.critical_path_length(), 1u);
 }
 
 TEST(Dag, ZeroNodesThrows) { EXPECT_THROW(Dag(0), InvariantError); }
@@ -48,11 +45,8 @@ TEST(Dag, EdgeValidation) {
 TEST(Dag, DiamondStructure) {
   const Dag d = diamond();
   EXPECT_TRUE(d.is_acyclic());
-  EXPECT_EQ(d.roots(), std::vector<std::size_t>{0});
-  EXPECT_EQ(d.sinks(), std::vector<std::size_t>{3});
   EXPECT_EQ(d.parents(3).size(), 2u);
   EXPECT_EQ(d.children(0).size(), 2u);
-  EXPECT_EQ(d.critical_path_length(), 3u);
 }
 
 TEST(Dag, TopoOrderValid) {
@@ -125,15 +119,12 @@ TEST(Dag, DisconnectedComponents) {
   Dag d(4);
   d.add_edge(0, 1);
   // 2 and 3 isolated.
-  EXPECT_EQ(d.roots().size(), 3u);
-  EXPECT_EQ(d.sinks().size(), 3u);
   EXPECT_TRUE(respects_dependencies(d, d.topo_order()));
 }
 
 TEST(Dag, WideFanoutCriticalPath) {
   Dag d(6);
   for (std::size_t i = 1; i < 6; ++i) d.add_edge(0, i);
-  EXPECT_EQ(d.critical_path_length(), 2u);
   Rng rng(3);
   // 5! = 120 linearizations exist; we should find several distinct ones.
   EXPECT_GE(d.chain_choices(6, rng).size(), 3u);

@@ -141,7 +141,7 @@ TEST(Ledger, QueryBeforeCompactionPointThrows) {
   ReservationLedger ledger({10, 10, 10});
   ledger.reserve(100, 200, {5, 0, 0});
   ledger.compact_before(150);
-  EXPECT_THROW(ledger.usage_at(50), InvariantError);
+  EXPECT_THROW((void)ledger.usage_at(50), InvariantError);
 }
 
 // Property check: random reserve/release sequences must match a brute-force

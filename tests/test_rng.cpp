@@ -151,11 +151,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 5.0, 0.1);
 }
 
-TEST(Rng, ParetoLowerBound) {
-  Rng rng(23);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 3.0), 2.0);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(29);
   int hits = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.h"
 #include "workloads/alibaba_trace.h"
@@ -10,6 +11,29 @@
 
 namespace vmlp::workloads {
 namespace {
+
+/// Nodes with no parents (entry services) and with no children (leaves).
+std::size_t root_count(const app::Dag& dag) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < dag.node_count(); ++i) n += dag.parents(i).empty() ? 1 : 0;
+  return n;
+}
+std::size_t sink_count(const app::Dag& dag) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < dag.node_count(); ++i) n += dag.children(i).empty() ? 1 : 0;
+  return n;
+}
+
+/// Longest dependency chain, in nodes.
+std::size_t chain_depth(const app::Dag& dag) {
+  std::vector<std::size_t> depth(dag.node_count(), 1);
+  for (std::size_t node : dag.topo_order()) {
+    for (std::size_t parent : dag.parents(node)) {
+      depth[node] = std::max(depth[node], depth[parent] + 1);
+    }
+  }
+  return *std::max_element(depth.begin(), depth.end());
+}
 
 TEST(SocialNetwork, TwelveServicesThreeRequests) {
   SocialNetworkIds ids;
@@ -33,9 +57,9 @@ TEST(SocialNetwork, ComposePostIsFanOutFanIn) {
   const auto& rt = sn->request(ids.compose_post);
   EXPECT_EQ(rt.size(), 9u);
   EXPECT_TRUE(rt.dag().is_acyclic());
-  EXPECT_EQ(rt.dag().roots().size(), 1u);   // nginx
-  EXPECT_EQ(rt.dag().sinks().size(), 1u);   // post-storage
-  EXPECT_GT(rt.dag().critical_path_length(), 3u);
+  EXPECT_EQ(root_count(rt.dag()), 1u);  // nginx
+  EXPECT_EQ(sink_count(rt.dag()), 1u);  // post-storage
+  EXPECT_GT(chain_depth(rt.dag()), 3u);
 }
 
 TEST(SocialNetwork, ReadPathsAreShortChains) {
@@ -70,7 +94,7 @@ TEST(TrainTicket, GetCheapestIsDeepChain) {
   TrainTicketIds ids;
   auto tt = make_train_ticket(&ids);
   const auto& rt = tt->request(ids.get_cheapest);
-  EXPECT_EQ(rt.dag().critical_path_length(), rt.size());  // pure chain
+  EXPECT_EQ(chain_depth(rt.dag()), rt.size());  // pure chain
 }
 
 TEST(TrainTicket, Fig2ServicesPresent) {

@@ -182,40 +182,6 @@ class MetricNameRuleTest(unittest.TestCase):
         self.assertEqual(rules, [])
 
 
-class PhaseCoverageRuleTest(unittest.TestCase):
-    ENUM = ("enum class Phase : std::uint8_t {\n"
-            "  kNetwork = 0, kQueue, kExec, kLostExec,\n"
-            "};\n")
-
-    @staticmethod
-    def run_rule(enum_src: str, report_src: str) -> list[str]:
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            enum = root / "src" / "trace" / "critical_path.h"
-            report = root / "src" / "exp" / "report.cpp"
-            enum.parent.mkdir(parents=True)
-            report.parent.mkdir(parents=True)
-            enum.write_text(enum_src, encoding="utf-8")
-            report.write_text(report_src, encoding="utf-8")
-            return [f.rule for f in vmlp_lint.check_phase_coverage(root)]
-
-    def test_missing_phase_column_flagged(self):
-        report = 'columns = {"network", "queue", "exec"};\n'  # no lost_exec
-        self.assertIn("phase-coverage", self.run_rule(self.ENUM, report))
-
-    def test_complete_table_passes(self):
-        report = 'columns = {"network", "queue", "exec", "lost_exec"};\n'
-        self.assertEqual(self.run_rule(self.ENUM, report), [])
-
-    def test_snake_casing(self):
-        self.assertEqual(vmlp_lint.phase_snake("LostExec"), "lost_exec")
-        self.assertEqual(vmlp_lint.phase_snake("Heal"), "heal")
-
-    def test_absent_files_skip_silently(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            self.assertEqual(vmlp_lint.check_phase_coverage(Path(tmp)), [])
-
-
 class SelfCheckTest(unittest.TestCase):
     def test_repo_sources_are_clean(self):
         root = Path(__file__).resolve().parent.parent

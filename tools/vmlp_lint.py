@@ -45,12 +45,6 @@ into float accumulation, event scheduling, or export sinks, so the
                      [a-z0-9_.]* and the fragment shape must be registered at
                      exactly one site.
 
-  [phase-coverage]   Every trace::Phase enum member (src/trace/critical_path.h)
-                     must appear, snake_cased, as a column literal in the
-                     attribution report (src/exp/report.cpp) — a phase added
-                     to the taxonomy but missing from the p99 blame table
-                     would silently vanish from the operator-facing view.
-
 Usage:
   tools/vmlp_lint.py [--root DIR] [files...]
 With no file arguments, scans src/ and tools/*.cpp under the root.
@@ -393,52 +387,6 @@ def check_metric_names(
 
 
 # --------------------------------------------------------------------------
-# rule: phase-coverage (repo-level: trace/critical_path.h vs exp/report.cpp)
-
-PHASE_ENUM = re.compile(r"enum\s+class\s+Phase\s*(?::\s*[\w:]+\s*)?\{([^}]*)\}", re.S)
-PHASE_MEMBER = re.compile(r"\bk([A-Z]\w*)")
-
-
-def phase_snake(member: str) -> str:
-    """kLostExec -> lost_exec (the phase_name() convention)."""
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", member).lower()
-
-
-def check_phase_coverage(root: Path) -> list[Finding]:
-    """Every Phase enum member must appear, snake_cased, as a literal in the
-    attribution report table (exp/report.cpp). Skipped silently when either
-    file is absent (partial checkouts, unit-test temp roots)."""
-    enum_path = root / "src" / "trace" / "critical_path.h"
-    report_path = root / "src" / "exp" / "report.cpp"
-    if not enum_path.is_file() or not report_path.is_file():
-        return []
-    enum_text = enum_path.read_text(encoding="utf-8")
-    body = PHASE_ENUM.search(strip_comments_and_strings(enum_text))
-    if body is None:
-        return [Finding(enum_path, 1, "phase-coverage", "no `enum class Phase` found")]
-    report_literals = set(STRING_LITERAL.findall(report_path.read_text(encoding="utf-8")))
-    findings: list[Finding] = []
-    for m in PHASE_MEMBER.finditer(body.group(1)):
-        member = m.group(1)
-        if member == "PhaseCount" or member.endswith("Count"):
-            continue
-        name = phase_snake(member)
-        if name not in report_literals:
-            lineno = enum_text[: enum_text.find("k" + member)].count("\n") + 1
-            findings.append(
-                Finding(
-                    enum_path,
-                    lineno,
-                    "phase-coverage",
-                    f"Phase::k{member} ('{name}') missing from the attribution "
-                    "report columns in exp/report.cpp — the phase would be "
-                    "invisible in the p99 blame table",
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------
 # driver
 
 
@@ -484,7 +432,6 @@ def main(argv: list[str]) -> int:
             print(f"vmlp_lint: no such file: {path}", file=sys.stderr)
             return 2
         all_findings.extend(lint_file(path, metric_registry))
-    all_findings.extend(check_phase_coverage(root))
 
     for f in all_findings:
         try:
