@@ -142,8 +142,7 @@ void BM_QuantileOfRecent(benchmark::State& state) {
   trace::ProfileStore store;
   Rng rng(4);
   for (int i = 0; i < 512; ++i) {
-    store.record(ServiceTypeId(0), RequestTypeId(0),
-                 {{100, 100, 10}, 0.2, rng.uniform_int(1000, 50000)});
+    store.record(ServiceTypeId(0), RequestTypeId(0), rng.uniform_int(1000, 50000));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -33,12 +33,6 @@ double Cluster::overall_utilization() const {
   return total / (3.0 * static_cast<double>(machines_.size()));
 }
 
-ResourceVector Cluster::total_usage() const {
-  ResourceVector total;
-  for (const auto& m : machines_) total += m.current_usage();
-  return total;
-}
-
 ResourceVector Cluster::total_capacity() const {
   ResourceVector total;
   for (const auto& m : machines_) total += m.capacity();

@@ -43,8 +43,7 @@ class Cluster {
   /// (#resource types × #nodes). In [0, 1].
   [[nodiscard]] double overall_utilization() const;
 
-  /// Total current usage and capacity across the cluster.
-  [[nodiscard]] ResourceVector total_usage() const;
+  /// Total capacity across the cluster.
   [[nodiscard]] ResourceVector total_capacity() const;
 
   /// Drop reservation-profile history before t on every machine.

@@ -27,7 +27,6 @@ class Container {
   ResourceVector set_limit(const ResourceVector& limit);
 
   void suspend() { state_ = ContainerState::kSuspended; }
-  void resume() { state_ = ContainerState::kRunning; }
 
   /// Resources the container effectively consumes right now: the full limit
   /// while running; while suspended, CPU and IO drop to a keep-alive trickle

@@ -52,15 +52,6 @@ class Rng {
   double exponential_mean(double mean);
   /// Index in [0, weights.size()) drawn proportionally to weights.
   std::size_t weighted_index(const std::vector<double>& weights);
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 

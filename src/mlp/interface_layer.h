@@ -21,9 +21,6 @@ class InterfaceLayer {
   [[nodiscard]] SimTime now() const { return driver_->now(); }
   [[nodiscard]] const cluster::Cluster& cluster() const { return driver_->cluster(); }
   [[nodiscard]] cluster::Cluster& cluster() { return driver_->cluster(); }
-  [[nodiscard]] double machine_load(MachineId m) const {
-    return driver_->cluster().machine(m).utilization_sum() / 3.0;
-  }
   [[nodiscard]] const trace::ProfileStore& profiles() const {
     return const_cast<sched::SimulationDriver*>(driver_)->profiles();
   }
@@ -36,7 +33,7 @@ class InterfaceLayer {
     return driver_->running_on(m);
   }
   [[nodiscard]] double volatility(RequestTypeId type) const { return driver_->volatility(type); }
-  [[nodiscard]] sched::ActiveRequest* find_request(RequestId id) {
+  [[nodiscard]] const sched::ActiveRequest* find_request(RequestId id) const {
     return driver_->find_request(id);
   }
   /// Telemetry sink (nullptr when collection is off). Write-only by contract:

@@ -15,10 +15,10 @@ std::size_t SelfHealing::on_late(RequestId id, std::size_t node,
                                  const std::vector<RequestId>& waiting,
                                  const std::vector<std::pair<RequestId, std::size_t>>& ready_extras,
                                  SelfOrganizing& organizer) {
-  sched::ActiveRequest* ar = iface_->find_request(id);
+  const sched::ActiveRequest* ar = iface_->find_request(id);
   if (ar == nullptr) return 0;
-  sched::DriverNode& dn = ar->nodes[node];
-  if (dn.running || dn.done || !dn.placed) return 0;
+  const sched::DriverNode& dn = ar->nodes[node];
+  if (dn.state != sched::NodeState::kPlaced) return 0;
 
   const MachineId machine = dn.machine;
   const SimTime vacancy_end = dn.reserved_end;
@@ -56,10 +56,9 @@ std::size_t SelfHealing::fill_delay_slot(
   std::size_t scanned = 0;
   for (const auto& [rid, n] : ready_extras) {
     if (++scanned > params_.max_heal_candidates) break;
-    sched::ActiveRequest* ar = iface_->find_request(rid);
-    if (ar == nullptr || ar->nodes[n].placed || ar->nodes[n].done) continue;
-    if (!ar->runtime.independent_of_active(n)) continue;
-    const auto& type = ar->runtime.type();
+    const sched::ActiveRequest* ar = iface_->find_request(rid);
+    if (ar == nullptr || !ar->independent_of_active(n)) continue;
+    const auto& type = ar->type;
     const auto& svc = iface_->application().service(type.nodes()[n].service);
     SimDuration est = organizer.slack_of(rid, n);
     if (est > vacancy_len + vacancy_len / 2) continue;  // would outlive the slot
@@ -118,10 +117,10 @@ std::size_t SelfHealing::stretch_resources(MachineId machine,
 
   std::vector<std::tuple<SimTime, int, RequestId, std::size_t>> order;
   for (const auto& [rid, n] : running) {
-    sched::ActiveRequest* ar = iface_->find_request(rid);
+    const sched::ActiveRequest* ar = iface_->find_request(rid);
     if (ar == nullptr) continue;
-    const auto& type = ar->runtime.type();
-    const SimTime deadline = ar->runtime.arrival() + type.slo();
+    const auto& type = ar->type;
+    const SimTime deadline = ar->arrival + type.slo();
     const int sensitivity =
         iface_->application().service(type.nodes()[n].service).cls.resource_sensitivity;
     order.emplace_back(deadline, -sensitivity, rid, n);
@@ -134,11 +133,11 @@ std::size_t SelfHealing::stretch_resources(MachineId machine,
     (void)deadline;
     (void)neg_sens;
     if (budget.near_zero()) break;
-    sched::ActiveRequest* ar = iface_->find_request(rid);
+    const sched::ActiveRequest* ar = iface_->find_request(rid);
     if (ar == nullptr) continue;
-    sched::DriverNode& dn = ar->nodes[n];
-    if (!dn.running) continue;
-    const auto& svc = iface_->application().service(ar->runtime.type().nodes()[n].service);
+    const sched::DriverNode& dn = ar->nodes[n];
+    if (dn.state != sched::NodeState::kRunning) continue;
+    const auto& svc = iface_->application().service(ar->type.nodes()[n].service);
     const cluster::ResourceVector gap = (svc.demand - dn.limit).max(cluster::ResourceVector::zero());
     if (gap.near_zero()) continue;  // already at full demand
     const cluster::ResourceVector grant = gap.min(budget);

@@ -21,7 +21,7 @@ void audit_plan_integrity(const sched::ActiveRequest& ar, const std::vector<Node
                       "plan books node " << plan.node << " twice (double-booked reservation)");
     covered[plan.node] = true;
     const sched::DriverNode& dn = ar.nodes[plan.node];
-    VMLP_AUDIT_ASSERT(!dn.placed && !dn.done,
+    VMLP_AUDIT_ASSERT(dn.state < sched::NodeState::kPlaced,
                       "plan books node " << plan.node << " that is already placed or finished");
     VMLP_AUDIT_ASSERT(plan.busy > 0 && plan.slack >= 0 && plan.start >= 0,
                       "plan for node " << plan.node << " has a degenerate window: start="
@@ -30,8 +30,7 @@ void audit_plan_integrity(const sched::ActiveRequest& ar, const std::vector<Node
   }
   if (require_full_cover) {
     for (std::size_t i = 0; i < ar.nodes.size(); ++i) {
-      const sched::DriverNode& dn = ar.nodes[i];
-      if (dn.placed || dn.done) continue;
+      if (ar.nodes[i].state >= sched::NodeState::kPlaced) continue;
       VMLP_AUDIT_ASSERT(covered[i], "plan drops node " << i
                                                        << " — coalesced chain does not preserve "
                                                           "the request's stage multiset");
@@ -101,11 +100,11 @@ SimDuration SelfOrganizing::ref_stage_time() const {
 }
 
 double SelfOrganizing::reorder_ratio_of(RequestId id) {
-  sched::ActiveRequest* ar = iface_->find_request(id);
+  const sched::ActiveRequest* ar = iface_->find_request(id);
   if (ar == nullptr) return 0.0;
-  const auto& type = ar->runtime.type();
+  const auto& type = ar->type;
   const double v_r = iface_->volatility(type.id());
-  const SimDuration waited = iface_->now() - ar->runtime.arrival();
+  const SimDuration waited = iface_->now() - ar->arrival;
 
   SimDuration dt0 = kTimeInfinity;
   for (const auto& node : type.nodes()) {
@@ -136,7 +135,7 @@ SelfOrganizing::NodeEst SelfOrganizing::compute_est(const app::RequestType& type
 }
 
 SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequest& ar) {
-  const auto& type = ar.runtime.type();
+  const auto& type = ar.type;
   PlanContext ctx;
   ctx.v_r = iface_->volatility(type.id());
   ctx.x = x_percent(ctx.v_r, type.slo(), max_slo());
@@ -147,15 +146,14 @@ SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequ
   const SimTime now = iface_->now();
   for (std::size_t i = 0; i < type.size(); ++i) {
     const sched::DriverNode& dn = ar.nodes[i];
-    const auto& rn = ar.runtime.node(i);
-    if (dn.done) {
-      ctx.seed_finish[i] = rn.finished_at;
+    if (dn.state == sched::NodeState::kDone) {
+      ctx.seed_finish[i] = dn.finished_at;
       ctx.seed_machine[i] = dn.machine;
-    } else if (dn.running) {
+    } else if (dn.state == sched::NodeState::kRunning) {
       ctx.seed_finish[i] =
-          std::max(now + kMsec, rn.started_at + compute_est(type, i, ctx.v_r, ctx.x).slack);
+          std::max(now + kMsec, dn.started_at + compute_est(type, i, ctx.v_r, ctx.x).slack);
       ctx.seed_machine[i] = dn.machine;
-    } else if (dn.placed) {
+    } else if (dn.state == sched::NodeState::kPlaced) {
       ctx.seed_finish[i] = std::max(dn.planned_start, now) + dn.reserve_duration;
       ctx.seed_machine[i] = dn.machine;
     }
@@ -164,9 +162,9 @@ SelfOrganizing::PlanContext SelfOrganizing::make_context(const sched::ActiveRequ
 }
 
 SimDuration SelfOrganizing::slack_of(RequestId id, std::size_t node) {
-  sched::ActiveRequest* ar = iface_->find_request(id);
+  const sched::ActiveRequest* ar = iface_->find_request(id);
   VMLP_CHECK(ar != nullptr);
-  const auto& type = ar->runtime.type();
+  const auto& type = ar->type;
   const double v_r = iface_->volatility(type.id());
   const double x = x_percent(v_r, type.slo(), max_slo());
   return compute_est(type, node, v_r, x).slack;
@@ -425,8 +423,9 @@ std::optional<std::pair<MachineId, SimTime>> SelfOrganizing::admit_stage_impl(
 }
 
 std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
-    sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, const PlanContext& ctx) {
-  const auto& type = ar.runtime.type();
+    const sched::ActiveRequest& ar, const std::vector<std::size_t>& chain,
+    const PlanContext& ctx) {
+  const auto& type = ar.type;
   const auto& application = iface_->application();
 
   std::vector<SimTime> pred_finish = ctx.seed_finish;
@@ -435,8 +434,7 @@ std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
   Overlay overlay;
   std::vector<NodePlan> plans;
   for (std::size_t node : chain) {
-    const sched::DriverNode& dn = ar.nodes[node];
-    if (dn.placed || dn.done) continue;
+    if (ar.nodes[node].state >= sched::NodeState::kPlaced) continue;
 
     const auto& req_node = type.nodes()[node];
     const auto& svc = application.service(req_node.service);
@@ -463,11 +461,11 @@ std::optional<std::vector<NodePlan>> SelfOrganizing::try_chain(
 }
 
 bool SelfOrganizing::organize(RequestId id) {
-  sched::ActiveRequest* ar = iface_->find_request(id);
+  const sched::ActiveRequest* ar = iface_->find_request(id);
   if (ar == nullptr) return false;
   obs::Collector* obs = iface_->observer();
   if (obs != nullptr) obs->count(obs->mlp().organize_calls);
-  const auto& type = ar->runtime.type();
+  const auto& type = ar->type;
   PlanContext ctx = make_context(*ar);
 
   const auto chains = type.dag().chain_choices(params_.max_chain_choices, rng_);
@@ -511,10 +509,10 @@ bool SelfOrganizing::organize(RequestId id) {
 }
 
 bool SelfOrganizing::organize_node(RequestId id, std::size_t node) {
-  sched::ActiveRequest* ar = iface_->find_request(id);
+  const sched::ActiveRequest* ar = iface_->find_request(id);
   if (ar == nullptr) return false;
-  if (ar->nodes[node].placed || ar->nodes[node].done) return true;
-  const auto& type = ar->runtime.type();
+  if (ar->nodes[node].state >= sched::NodeState::kPlaced) return true;
+  const auto& type = ar->type;
   PlanContext ctx = make_context(*ar);
   auto plans = try_chain(*ar, {node}, ctx);
   if (!plans.has_value() || plans->empty()) return false;

@@ -137,7 +137,8 @@ class SelfOrganizing {
       std::size_t& probes_out, std::size_t& pruned_out);
 
   [[nodiscard]] std::optional<std::vector<NodePlan>> try_chain(
-      sched::ActiveRequest& ar, const std::vector<std::size_t>& chain, const PlanContext& ctx);
+      const sched::ActiveRequest& ar, const std::vector<std::size_t>& chain,
+      const PlanContext& ctx);
 
   [[nodiscard]] SimDuration max_slo() const;
   [[nodiscard]] SimDuration ref_stage_time() const;

@@ -68,24 +68,24 @@ void VmlpScheduler::on_tick() {
   organize_pass();
   std::vector<std::pair<RequestId, std::size_t>> leftover;
   for (const auto& [id, node] : ready_) {
-    sched::ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed || ar->nodes[node].done) continue;
+    const sched::ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr || ar->nodes[node].state >= sched::NodeState::kPlaced) continue;
     if (!organizer_->organize_node(id, node)) leftover.emplace_back(id, node);
   }
   ready_ = std::move(leftover);
 }
 
 void VmlpScheduler::on_late_invocation(RequestId id, std::size_t node) {
-  sched::ActiveRequest* ar = driver_->find_request(id);
+  const sched::ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return;
-  sched::DriverNode& dn = ar->nodes[node];
-  if (!dn.placed || dn.running || dn.done) return;
+  const sched::DriverNode& dn = ar->nodes[node];
+  if (dn.state != sched::NodeState::kPlaced) return;
 
   // Relocation of the late-invoking microservice itself (Fig. 7): if its
   // dependencies are met but the planned machine keeps refusing, move the
   // stage to wherever it can execute now — overbooking the old machine at
   // the planned time would be strictly worse.
-  if (ar->runtime.node(node).pending_parents == 0) {
+  if (dn.pending_parents == 0) {
     const MachineId old_machine = dn.machine;
     const SimDuration old_duration = dn.reserve_duration;
     driver_->unplace(id, node);
@@ -101,7 +101,7 @@ void VmlpScheduler::on_late_invocation(RequestId id, std::size_t node) {
         // strictly advancing the clock, so the loop is bounded by the
         // horizon.
         const auto& svc = driver_->application().service(
-            ar->runtime.type().nodes()[node].service);
+            ar->type.nodes()[node].service);
         driver_->place(id, node, old_machine, svc.demand,
                        driver_->now() + sched::kEarlyRetryInterval,
                        std::max<SimDuration>(1, old_duration));
@@ -123,19 +123,19 @@ void VmlpScheduler::on_late_invocation(RequestId id, std::size_t node) {
     // nodes into the slot; drop entries that are now handled.
     waiting_.erase(std::remove_if(waiting_.begin(), waiting_.end(),
                                   [this](RequestId rid) {
-                                    sched::ActiveRequest* req = driver_->find_request(rid);
+                                    const sched::ActiveRequest* req = driver_->find_request(rid);
                                     if (req == nullptr) return true;
                                     for (std::size_t n = 0; n < req->nodes.size(); ++n) {
-                                      if (!req->nodes[n].placed && !req->nodes[n].done) return false;
+                                      if (req->nodes[n].state < sched::NodeState::kPlaced) return false;
                                     }
                                     return true;
                                   }),
                    waiting_.end());
     ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
                                 [this](const auto& e) {
-                                  sched::ActiveRequest* req = driver_->find_request(e.first);
-                                  return req == nullptr || req->nodes[e.second].placed ||
-                                         req->nodes[e.second].done;
+                                  const sched::ActiveRequest* req = driver_->find_request(e.first);
+                                  return req == nullptr ||
+                                         req->nodes[e.second].state >= sched::NodeState::kPlaced;
                                 }),
                  ready_.end());
   }

@@ -9,9 +9,7 @@ ClusterMonitor::ClusterMonitor(const cluster::Cluster& clustr, SimDuration perio
     : cluster_(clustr),
       period_(period),
       horizon_(horizon),
-      overall_(bucket, horizon),
-      cpu_(bucket, horizon),
-      mem_(bucket, horizon) {
+      overall_(bucket, horizon) {
   VMLP_CHECK_MSG(period > 0, "monitor period must be positive");
 }
 
@@ -21,15 +19,8 @@ void ClusterMonitor::attach(sim::Engine& engine) {
 
 void ClusterMonitor::sample(SimTime now) {
   if (now < 0 || now >= horizon_) return;
-  const cluster::ResourceVector usage = cluster_.total_usage();
-  const cluster::ResourceVector capacity = cluster_.total_capacity();
   const double overall = cluster_.overall_utilization();
-
   overall_.add(now, overall);
-  cpu_.add(now, capacity.cpu > 0 ? usage.cpu / capacity.cpu : 0.0);
-  mem_.add(now, capacity.mem > 0 ? usage.mem / capacity.mem : 0.0);
-
-  latest_ = UtilizationSnapshot{now, overall, usage, capacity};
   ++samples_;
   overall_sum_ += overall;
 }

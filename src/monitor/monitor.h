@@ -1,9 +1,8 @@
 // Cluster resource monitoring (the Prometheus/cAdvisor analogue).
 //
 // A ClusterMonitor samples every machine's usage on a fixed period driven by
-// the simulation engine and accumulates: the paper's overall utilization
-// U(t) series (Fig. 11), cpu and memory cluster series, and instantaneous
-// snapshots for schedulers that allocate by current load.
+// the simulation engine and accumulates the paper's overall utilization U(t)
+// series (Fig. 11) and its run mean.
 #pragma once
 
 #include "cluster/cluster.h"
@@ -11,13 +10,6 @@
 #include "stats/timeseries.h"
 
 namespace vmlp::monitor {
-
-struct UtilizationSnapshot {
-  SimTime time = 0;
-  double overall = 0.0;  ///< the paper's U at this instant
-  cluster::ResourceVector usage;
-  cluster::ResourceVector capacity;
-};
 
 class ClusterMonitor {
  public:
@@ -35,9 +27,6 @@ class ClusterMonitor {
   void sample(SimTime now);
 
   [[nodiscard]] const stats::TimeSeries& overall_series() const { return overall_; }
-  [[nodiscard]] const stats::TimeSeries& cpu_series() const { return cpu_; }
-  [[nodiscard]] const stats::TimeSeries& mem_series() const { return mem_; }
-  [[nodiscard]] const UtilizationSnapshot& latest() const { return latest_; }
   [[nodiscard]] std::size_t sample_count() const { return samples_; }
 
   /// Mean of U over all samples taken so far.
@@ -48,9 +37,6 @@ class ClusterMonitor {
   SimDuration period_;
   SimTime horizon_;
   stats::TimeSeries overall_;
-  stats::TimeSeries cpu_;
-  stats::TimeSeries mem_;
-  UtilizationSnapshot latest_;
   std::size_t samples_ = 0;
   double overall_sum_ = 0.0;
 };

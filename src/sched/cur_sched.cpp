@@ -6,9 +6,9 @@
 namespace vmlp::sched {
 
 void CurSched::on_request_arrival(RequestId id) {
-  ActiveRequest* ar = driver_->find_request(id);
+  const ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return;
-  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
+  for (std::size_t node : ar->ready_nodes()) ready_.emplace_back(id, node);
   drain();
 }
 
@@ -23,8 +23,8 @@ void CurSched::drain() {
   while (!ready_.empty()) {
     const auto [id, node] = ready_.front();
     ready_.pop_front();
-    ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
+    const ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr || ar->nodes[node].state >= NodeState::kPlaced) continue;
 
     const MachineId machine = machine_lowest_utilization(driver_->cluster());
     if (!machine.valid()) {
@@ -32,9 +32,9 @@ void CurSched::drain() {
       ready_.emplace_front(id, node);
       return;
     }
-    const auto& req_node = ar->runtime.type().nodes()[node];
+    const auto& req_node = ar->type.nodes()[node];
     const auto& svc = driver_->application().service(req_node.service);
-    const SimDuration est = estimate_mean_exec(*driver_, ar->runtime.type(), node);
+    const SimDuration est = estimate_mean_exec(*driver_, ar->type, node);
     driver_->place(id, node, machine, svc.demand, driver_->now(), est);
   }
 }

@@ -29,12 +29,12 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <vector>
 
 #include "app/application.h"
 #include "app/exec_model.h"
 #include "common/arena.h"
-#include "app/request_runtime.h"
 #include "cluster/cluster.h"
 #include "common/rng.h"
 #include "loadgen/generator.h"
@@ -112,9 +112,23 @@ struct ParentMsg {
   SimTime finish;        ///< caller finish time
 };
 
+/// A DAG node's lifecycle (Section III's MLP unit). A node is waiting until
+/// its last parent finishes, ready until placed, and placed until it starts;
+/// a lost placement or execution sends it back to ready (dependencies met)
+/// or waiting.
+enum class NodeState : std::uint8_t { kWaiting, kReady, kPlaced, kRunning, kDone };
+
+constexpr const char* node_state_name(NodeState s) {
+  constexpr const char* kNames[] = {"waiting", "ready", "placed", "running", "done"};
+  return kNames[static_cast<std::size_t>(s)];
+}
+
 /// Per-node driver state (mechanism-side; policy state stays in schedulers).
+/// Only the driver writes it; schedulers read it through a const
+/// ActiveRequest.
 struct DriverNode {
-  bool placed = false;
+  NodeState state = NodeState::kWaiting;
+  std::size_t pending_parents = 0;  ///< parents not finished yet
   MachineId machine;
   cluster::ResourceVector limit;
   SimTime planned_start = -1;
@@ -141,6 +155,8 @@ struct DriverNode {
   // Running state.
   InstanceId instance;
   ContainerId container;
+  SimTime started_at = -1;   ///< start of the current (or last) execution
+  SimTime finished_at = -1;  ///< set once done
   double remaining_work = 0.0;  ///< microseconds of work at rate 1
   double rate = 1.0;
   double jitter = 1.0;  ///< S=3 contention-dispersion multiplier, fixed per instance
@@ -148,8 +164,6 @@ struct DriverNode {
   sim::EventHandle finish_event;
   sim::EventHandle fault_event;    ///< pending mid-flight container fault
   sim::EventHandle timeout_event;  ///< invocation-timeout watchdog
-  bool running = false;
-  bool done = false;
   /// Executions lost to crashes/faults/timeouts so far (bounded retry).
   int attempts = 0;
   /// Retry budget exhausted: the node is never re-placed and the request
@@ -162,11 +176,33 @@ struct DriverNode {
   static constexpr int kStuckThreshold = 3;
 };
 
+/// One in-flight request: its type, arrival, and every node's lifecycle.
 struct ActiveRequest {
-  ActiveRequest(const app::RequestType& type, RequestId id, SimTime arrival)
-      : runtime(type, id, arrival), nodes(type.size()) {}
-  app::RequestRuntime runtime;
+  /// Roots start ready; every other node waits on its parents.
+  ActiveRequest(const app::RequestType& request_type, RequestId request_id, SimTime arrived_at)
+      : type(request_type), id(request_id), arrival(arrived_at), nodes(request_type.size()) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].pending_parents = type.dag().parents(i).size();
+      if (nodes[i].pending_parents == 0) nodes[i].state = NodeState::kReady;
+    }
+  }
+
+  /// Nodes in kReady (dependencies met, not placed yet), in index order. A
+  /// lazy view: it allocates nothing and reads each state as it advances.
+  [[nodiscard]] auto ready_nodes() const {
+    return std::views::iota(std::size_t{0}, nodes.size()) |
+           std::views::filter([this](std::size_t i) { return nodes[i].state == NodeState::kReady; });
+  }
+  /// A node is a delay-slot candidate iff it is still waiting/ready and none
+  /// of its ancestors is placed or running (Section III-F: candidates must
+  /// not depend on executing or late-invoking microservices).
+  [[nodiscard]] bool independent_of_active(std::size_t node) const;
+
+  const app::RequestType& type;
+  const RequestId id;
+  const SimTime arrival;
   ArenaVector<DriverNode> nodes;
+  std::size_t done_count = 0;
   /// At least one node lost an execution or placement to a failure.
   bool degraded = false;
 };
@@ -246,8 +282,9 @@ class SimulationDriver {
   [[nodiscard]] const obs::Collector* observer() const { return obs_.get(); }
 
   /// The live request `id`, or nullptr once it completed (or was never
-  /// issued). Inline: every scheduler calls it per event.
-  [[nodiscard]] ActiveRequest* find_request(RequestId id) {
+  /// issued). Read-only: node state changes only through the driver's API.
+  /// Inline: every scheduler calls it per event.
+  [[nodiscard]] const ActiveRequest* find_request(RequestId id) const {
     // Ids below the window wrap to a huge offset and miss the bounds check.
     const std::uint64_t slot = id.value() - first_live_id_;
     return slot < live_.size() ? live_[slot].get() : nullptr;
@@ -330,6 +367,11 @@ class SimulationDriver {
   }
 
  private:
+  /// find_request() for the driver's own transitions (live_ owns mutable
+  /// requests; only the public lookup hands them out const).
+  [[nodiscard]] ActiveRequest* live_request(RequestId id) {
+    return const_cast<ActiveRequest*>(find_request(id));
+  }
   void warmup_profiles();
   void on_arrival(RequestTypeId type);
   /// Pull the next arrival from arrival_stream_ and schedule it (chained).
@@ -343,15 +385,17 @@ class SimulationDriver {
   void crash_machine(MachineId machine);
   void recover_machine(MachineId machine);
   /// Kill one running execution (crash/fault/timeout): container destroyed,
-  /// reservation released, runtime state back to ready, retry scheduled.
+  /// reservation released, node back to ready, retry scheduled.
   void fail_running_node(ActiveRequest& ar, std::size_t node);
   void schedule_retry(ActiveRequest& ar, std::size_t node);
   /// A container-fault or timeout event fired for (id, node): if the node is
   /// still running, bump `counter` and fail the execution.
   void kill_running(RequestId id, std::size_t node, std::size_t& counter);
-  /// The node loses its placement: reservation tail released, pending start
-  /// and late watch cancelled, placement fields cleared, cell placement
-  /// dropped. Running state and the runtime record are the caller's.
+  /// The node loses its placement (unplace, crash void, or a lost
+  /// execution): reservation tail released, pending start and late watch
+  /// cancelled, placement fields cleared, cell placement dropped, and the
+  /// node back to ready (dependencies met) or waiting. Ending a running
+  /// execution is the caller's (end_execution).
   void lose_placement(ActiveRequest& ar, std::size_t node);
   /// Cancel `handle` if still pending and clear it.
   void cancel_event(sim::EventHandle& handle);

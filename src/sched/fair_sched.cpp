@@ -8,9 +8,9 @@
 namespace vmlp::sched {
 
 void FairSched::on_request_arrival(RequestId id) {
-  ActiveRequest* ar = driver_->find_request(id);
+  const ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return;
-  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
+  for (std::size_t node : ar->ready_nodes()) ready_.emplace_back(id, node);
   drain();
 }
 
@@ -25,8 +25,8 @@ void FairSched::drain() {
   while (!ready_.empty()) {
     const auto [id, node] = ready_.front();
     ready_.pop_front();
-    ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
+    const ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr || ar->nodes[node].state >= NodeState::kPlaced) continue;
 
     const MachineId machine = machine_fewest_containers(driver_->cluster());
     if (!machine.valid()) {
@@ -42,7 +42,7 @@ void FairSched::drain() {
     const double occupants = static_cast<double>(m.container_count() + 1);
     const cluster::ResourceVector slice =
         m.capacity() * (1.0 / std::min(occupants, static_cast<double>(kSlotsPerMachine) * 2.0));
-    const SimDuration est = estimate_mean_exec(*driver_, ar->runtime.type(), node);
+    const SimDuration est = estimate_mean_exec(*driver_, ar->type, node);
     driver_->place(id, node, machine, slice, driver_->now(), est);
   }
 }

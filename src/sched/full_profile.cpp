@@ -39,9 +39,9 @@ const FullProfile::OverallProfile& FullProfile::profile_of(RequestTypeId type_id
 }
 
 void FullProfile::on_request_arrival(RequestId id) {
-  ActiveRequest* ar = driver_->find_request(id);
+  const ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return;
-  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
+  for (std::size_t node : ar->ready_nodes()) ready_.emplace_back(id, node);
   drain();
 }
 
@@ -57,9 +57,9 @@ void FullProfile::drain() {
   std::vector<std::tuple<SimDuration, RequestId, std::size_t>> keyed;
   keyed.reserve(ready_.size());
   for (const auto& [id, node] : ready_) {
-    ActiveRequest* ar = driver_->find_request(id);
+    const ActiveRequest* ar = driver_->find_request(id);
     if (ar == nullptr) continue;
-    keyed.emplace_back(profile_of(ar->runtime.type().id()).total_time, id, node);
+    keyed.emplace_back(profile_of(ar->type.id()).total_time, id, node);
   }
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) { return std::get<0>(a) < std::get<0>(b); });
@@ -68,9 +68,9 @@ void FullProfile::drain() {
   std::size_t consecutive_failures = 0;
   for (const auto& [key, id, node] : keyed) {
     (void)key;
-    ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
-    const OverallProfile& p = profile_of(ar->runtime.type().id());
+    const ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr || ar->nodes[node].state >= NodeState::kPlaced) continue;
+    const OverallProfile& p = profile_of(ar->type.id());
 
     // The whole point — and the flaw — of overall profiling: admission sees
     // only the application-*averaged* demand and stage duration, blind to
@@ -85,7 +85,7 @@ void FullProfile::drain() {
     if (machine.valid()) {
       consecutive_failures = 0;
       const auto& svc =
-          driver_->application().service(ar->runtime.type().nodes()[node].service);
+          driver_->application().service(ar->type.nodes()[node].service);
       driver_->place(id, node, machine, svc.demand, driver_->now(), p.avg_stage_time);
     } else {
       ++consecutive_failures;

@@ -8,9 +8,9 @@
 namespace vmlp::sched {
 
 void PartProfile::on_request_arrival(RequestId id) {
-  ActiveRequest* ar = driver_->find_request(id);
+  const ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return;
-  for (std::size_t node : ar->runtime.ready_nodes()) ready_.emplace_back(id, node);
+  for (std::size_t node : ar->ready_nodes()) ready_.emplace_back(id, node);
   drain();
 }
 
@@ -24,9 +24,9 @@ void PartProfile::on_tick() { drain(); }
 SimDuration PartProfile::remaining_path_estimate(RequestId id, std::size_t from_node) const {
   // Profiled mean time of the longest remaining dependency path rooted at
   // from_node (partial profiling: per-stage means, no interference model).
-  ActiveRequest* ar = driver_->find_request(id);
+  const ActiveRequest* ar = driver_->find_request(id);
   if (ar == nullptr) return 0;
-  const auto& type = ar->runtime.type();
+  const auto& type = ar->type;
 
   const std::uint64_t cache_key =
       (static_cast<std::uint64_t>(type.id().value()) << 32) | static_cast<std::uint64_t>(from_node);
@@ -57,11 +57,11 @@ void PartProfile::drain() {
   std::vector<std::tuple<SimDuration, RequestId, std::size_t>> keyed;
   keyed.reserve(ready_.size());
   for (const auto& [id, node] : ready_) {
-    ActiveRequest* ar = driver_->find_request(id);
+    const ActiveRequest* ar = driver_->find_request(id);
     if (ar == nullptr) continue;
-    const SimDuration elapsed = driver_->now() - ar->runtime.arrival();
+    const SimDuration elapsed = driver_->now() - ar->arrival;
     const SimDuration slack =
-        ar->runtime.type().slo() - elapsed - remaining_path_estimate(id, node);
+        ar->type.slo() - elapsed - remaining_path_estimate(id, node);
     keyed.emplace_back(slack, id, node);
   }
   std::stable_sort(keyed.begin(), keyed.end(),
@@ -71,11 +71,11 @@ void PartProfile::drain() {
   std::size_t consecutive_failures = 0;
   for (const auto& [slack, id, node] : keyed) {
     (void)slack;
-    ActiveRequest* ar = driver_->find_request(id);
-    if (ar == nullptr || ar->nodes[node].placed) continue;
-    const auto& req_node = ar->runtime.type().nodes()[node];
+    const ActiveRequest* ar = driver_->find_request(id);
+    if (ar == nullptr || ar->nodes[node].state >= NodeState::kPlaced) continue;
+    const auto& req_node = ar->type.nodes()[node];
     const auto& svc = driver_->application().service(req_node.service);
-    const SimDuration est = estimate_mean_exec(*driver_, ar->runtime.type(), node);
+    const SimDuration est = estimate_mean_exec(*driver_, ar->type, node);
 
     // Once several admissions failed in a row, the cluster is saturated —
     // defer the rest without probing every machine for each of them.

@@ -12,18 +12,17 @@ ProfileStore::ProfileStore(std::size_t capacity) : capacity_(capacity) {
 }
 
 void ProfileStore::record(ServiceTypeId service, RequestTypeId request_type,
-                          const ExecutionCase& c) {
-  VMLP_CHECK_MSG(c.exec_time >= 0, "negative execution time");
+                          SimDuration exec_time) {
+  VMLP_CHECK_MSG(exec_time >= 0, "negative execution time");
   Ring& ring = rings_[Key{service, request_type}];
   if (ring.cases.size() < capacity_) {
-    ring.cases.push_back(c);
+    ring.cases.push_back(exec_time);
   } else {
-    const ExecutionCase& evicted = ring.cases[ring.next];
-    ring.exec_sum -= static_cast<double>(evicted.exec_time);
-    ring.cases[ring.next] = c;
+    ring.exec_sum -= static_cast<double>(ring.cases[ring.next]);
+    ring.cases[ring.next] = exec_time;
     ring.next = (ring.next + 1) % capacity_;
   }
-  ring.exec_sum += static_cast<double>(c.exec_time);
+  ring.exec_sum += static_cast<double>(exec_time);
   ++ring.revision;
 }
 
@@ -49,7 +48,7 @@ std::optional<SimDuration> ProfileStore::max_slack(ServiceTypeId service,
   if (ring->cached_max.revision == 0 ||
       ring->revision - ring->cached_max.revision >= kCacheStaleness) {
     SimDuration best = 0;
-    for (const auto& c : ring->cases) best = std::max(best, c.exec_time);
+    for (const SimDuration c : ring->cases) best = std::max(best, c);
     ring->cached_max = CachedValue{ring->revision, best};
   }
   return ring->cached_max.value;
@@ -87,7 +86,7 @@ std::optional<SimDuration> ProfileStore::quantile_of_recent(ServiceTypeId servic
   std::vector<double> recent;
   recent.reserve(take);
   for (std::size_t i = n - take; i < n; ++i) {
-    recent.push_back(static_cast<double>(ring->cases[(ring->next + i) % n].exec_time));
+    recent.push_back(static_cast<double>(ring->cases[(ring->next + i) % n]));
   }
   // The interpolation reads only the lo-th and (lo+1)-th order statistics:
   // select the first, and the second is the least value above it.
@@ -110,7 +109,7 @@ std::vector<SimDuration> ProfileStore::exec_times(ServiceTypeId service,
   const Ring* ring = find(service, request_type);
   if (ring == nullptr) return out;
   const std::size_t n = ring->cases.size();
-  for (std::size_t i = 0; i < n; ++i) out.push_back(ring->cases[(ring->next + i) % n].exec_time);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(ring->cases[(ring->next + i) % n]);
   return out;
 }
 

@@ -1,6 +1,7 @@
 // ProfileStore: the paper's per-microservice history matrix
 // s_i = [u_cpu, u_mem, u_io, l, Δt] (Section III-E) — one row per historical
-// execution case, keyed by (microservice type, request type).
+// execution case, keyed by (microservice type, request type). Algorithm 1
+// reads only the Δt column, so a case is stored as its execution time.
 //
 // Algorithm 1 consumes it through two queries:
 //   * max_slack            — the Δt column's maximum (low-V_r requests);
@@ -14,16 +15,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/resources.h"
 #include "common/types.h"
 
 namespace vmlp::trace {
-
-struct ExecutionCase {
-  cluster::ResourceVector usage;  ///< resources the case executed with
-  double machine_load = 0.0;      ///< the l column: host utilization in [0,1]
-  SimDuration exec_time = 0;      ///< the Δt column
-};
 
 class ProfileStore {
  public:
@@ -33,7 +27,8 @@ class ProfileStore {
   /// Keep at most `capacity` most recent cases per (service, request type).
   explicit ProfileStore(std::size_t capacity = 512);
 
-  void record(ServiceTypeId service, RequestTypeId request_type, const ExecutionCase& c);
+  /// Append one case's execution time (the Δt column).
+  void record(ServiceTypeId service, RequestTypeId request_type, SimDuration exec_time);
 
   [[nodiscard]] std::size_t case_count(ServiceTypeId service, RequestTypeId request_type) const;
   [[nodiscard]] bool has_history(ServiceTypeId service, RequestTypeId request_type) const;
@@ -84,7 +79,7 @@ class ProfileStore {
     SimDuration value = 0;
   };
   struct Ring {
-    std::vector<ExecutionCase> cases;  // capacity-bounded ring
+    std::vector<SimDuration> cases;  // capacity-bounded ring of Δt
     std::size_t next = 0;              // oldest case's slot, overwritten next once full
     std::uint64_t revision = 0;        // total records ever
     // O(1) aggregates maintained incrementally.

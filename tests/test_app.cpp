@@ -1,11 +1,10 @@
-// Application model: volatility, builders, execution model, runtime state.
+// Application model: volatility, builders, execution model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "app/application.h"
 #include "app/exec_model.h"
-#include "app/request_runtime.h"
 #include "app/volatility.h"
 #include "common/error.h"
 #include "stats/summary.h"
@@ -232,83 +231,6 @@ TEST(ExecModel, BadInputsThrow) {
   MicroserviceType no_time = type;
   no_time.nominal_time = 0;
   EXPECT_THROW((void)model.sample_work(no_time, 1.0, rng), InvariantError);
-}
-
-class RuntimeTest : public ::testing::Test {
- protected:
-  RuntimeTest() {
-    auto builder = app_.build_request("diamond");
-    builder.node(s_).node(s_).node(s_).node(s_).edge(0, 1).edge(0, 2).edge(1, 3).edge(2, 3);
-    type_ = builder.commit();
-  }
-  Application app_{"rt"};
-  ServiceTypeId s_ = app_.add_service("s", {10, 10, 10}, 10, ServiceClass{1, 1, 1},
-                                      ResourceIntensity::kCpu);
-  RequestTypeId type_;
-};
-
-TEST_F(RuntimeTest, RootsStartReady) {
-  RequestRuntime rt(app_.request(type_), RequestId(1), 100);
-  EXPECT_EQ(rt.ready_nodes(), std::vector<std::size_t>{0});
-  EXPECT_EQ(rt.node(0).ready_at, 100);
-  EXPECT_FALSE(rt.finished());
-}
-
-TEST_F(RuntimeTest, LifecycleAndUnblocking) {
-  RequestRuntime rt(app_.request(type_), RequestId(1), 0);
-  rt.mark_placed(0, MachineId(0), InstanceId(0), 10);
-  rt.mark_running(0, ContainerId(0), 12);
-  auto unblocked = rt.mark_done(0, 20);
-  EXPECT_EQ(unblocked.size(), 2u);  // 1 and 2
-
-  for (std::size_t n : unblocked) rt.mark_ready(n, 21);
-  rt.mark_placed(1, MachineId(1), InstanceId(1), 22);
-  rt.mark_running(1, ContainerId(1), 23);
-  EXPECT_TRUE(rt.mark_done(1, 30).empty());  // 3 still blocked by 2
-
-  rt.mark_placed(2, MachineId(2), InstanceId(2), 22);
-  rt.mark_running(2, ContainerId(2), 24);
-  unblocked = rt.mark_done(2, 31);
-  EXPECT_EQ(unblocked, std::vector<std::size_t>{3});
-
-  rt.mark_ready(3, 32);
-  rt.mark_placed(3, MachineId(0), InstanceId(3), 33);
-  rt.mark_running(3, ContainerId(3), 34);
-  rt.mark_done(3, 40);
-  EXPECT_TRUE(rt.finished());
-  EXPECT_EQ(rt.done_count(), 4u);
-  EXPECT_EQ(rt.node(3).finished_at, 40);
-}
-
-TEST_F(RuntimeTest, IllegalTransitionsThrow) {
-  RequestRuntime rt(app_.request(type_), RequestId(1), 0);
-  EXPECT_THROW(rt.mark_running(0, ContainerId(0), 5), InvariantError);  // not placed
-  EXPECT_THROW(rt.mark_done(0, 5), InvariantError);                     // not running
-  EXPECT_THROW(rt.mark_ready(3, 5), InvariantError);  // dependencies unmet
-  rt.mark_placed(0, MachineId(0), InstanceId(0), 1);
-  EXPECT_THROW(rt.mark_placed(0, MachineId(0), InstanceId(0), 1), InvariantError);
-}
-
-TEST_F(RuntimeTest, IndependentOfActive) {
-  RequestRuntime rt(app_.request(type_), RequestId(1), 0);
-  // Root running: everything downstream depends on it.
-  rt.mark_placed(0, MachineId(0), InstanceId(0), 1);
-  rt.mark_running(0, ContainerId(0), 1);
-  EXPECT_FALSE(rt.independent_of_active(1));
-  EXPECT_FALSE(rt.independent_of_active(3));
-
-  rt.mark_done(0, 5);
-  // Now 1 and 2 are ready and independent of each other.
-  rt.mark_ready(1, 5);
-  rt.mark_ready(2, 5);
-  EXPECT_TRUE(rt.independent_of_active(1));
-  rt.mark_placed(1, MachineId(0), InstanceId(1), 6);
-  // 2 is independent of 1 (no path), but 3 depends on placed node 1.
-  EXPECT_TRUE(rt.independent_of_active(2));
-  EXPECT_FALSE(rt.independent_of_active(3));
-  // Active/done nodes are never candidates.
-  EXPECT_FALSE(rt.independent_of_active(0));
-  EXPECT_FALSE(rt.independent_of_active(1));
 }
 
 }  // namespace

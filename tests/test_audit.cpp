@@ -131,9 +131,9 @@ class CorruptingScheduler : public sched::IScheduler {
       driver_->cluster().machine(MachineId(0)).ledger().reserve(
           driver_->now(), driver_->now() + kSec, {500.0, 0.0, 0.0});
     }
-    sched::ActiveRequest* ar = driver_->find_request(id);
+    const sched::ActiveRequest* ar = driver_->find_request(id);
     for (std::size_t n = 0; n < ar->nodes.size(); ++n) {
-      const auto& req_node = ar->runtime.type().nodes()[n];
+      const auto& req_node = ar->type.nodes()[n];
       const auto& svc = driver_->application().service(req_node.service);
       driver_->place(id, n, MachineId(0), svc.demand, driver_->now(), 50 * kMsec);
     }
@@ -209,7 +209,7 @@ TEST_F(PlanIntegrityTest, RejectsDoubleBookedNode) {
 }
 
 TEST_F(PlanIntegrityTest, RejectsPlanForPlacedNode) {
-  ar_.nodes[0].placed = true;
+  ar_.nodes[0].state = sched::NodeState::kPlaced;
   EXPECT_THROW(mlp::audit_plan_integrity(ar_, {plan_for(0)}, false), InvariantError);
 }
 
@@ -232,7 +232,7 @@ TEST_F(PlanIntegrityTest, PartialCoverAllowedForSingleNodePlanning) {
 }
 
 TEST_F(PlanIntegrityTest, PlacedNodesNeedNoCover) {
-  ar_.nodes[1].placed = true;
+  ar_.nodes[1].state = sched::NodeState::kPlaced;
   EXPECT_NO_THROW(mlp::audit_plan_integrity(ar_, {plan_for(0)}, true));
 }
 

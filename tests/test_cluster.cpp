@@ -29,8 +29,6 @@ TEST(Container, EffectiveUsageFollowsState) {
                                       100 * Container::kSuspendedMemFraction), 1e-9);
   EXPECT_NEAR(suspended.io, std::max(Container::kSuspendedIoFloor,
                                      10 * Container::kSuspendedIoFraction), 1e-9);
-  c.resume();
-  EXPECT_EQ(c.state(), ContainerState::kRunning);
 }
 
 TEST(Container, SetLimitReturnsOld) {

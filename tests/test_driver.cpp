@@ -2,6 +2,7 @@
 // contention, reservations, limits, accounting.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,11 +34,11 @@ class ScriptedScheduler : public IScheduler {
   }
 
   void on_request_arrival(RequestId id) override {
-    ActiveRequest* ar = driver_->find_request(id);
+    const ActiveRequest* ar = driver_->find_request(id);
     if (plan_ahead_) {
       for (std::size_t n = 0; n < ar->nodes.size(); ++n) place_node(id, n);
     } else {
-      for (std::size_t n : ar->runtime.ready_nodes()) place_node(id, n);
+      for (std::size_t n : ar->ready_nodes()) place_node(id, n);
     }
   }
   void on_node_unblocked(RequestId id, std::size_t node) override {
@@ -60,8 +61,8 @@ class ScriptedScheduler : public IScheduler {
 
  private:
   void place_node(RequestId id, std::size_t node) {
-    ActiveRequest* ar = driver_->find_request(id);
-    const auto& req_node = ar->runtime.type().nodes()[node];
+    const ActiveRequest* ar = driver_->find_request(id);
+    const auto& req_node = ar->type.nodes()[node];
     const auto& svc = driver_->application().service(req_node.service);
     driver_->place(id, node, target, svc.demand, driver_->now(), reserve);
   }
@@ -212,8 +213,8 @@ TEST(Driver, AdjustLimitAccelerates) {
         driver.subscribe(Hook::kNodeStarted);
       }
       void on_request_arrival(RequestId id) override {
-        ActiveRequest* ar = driver_->find_request(id);
-        const auto& svc = driver_->application().service(ar->runtime.type().nodes()[0].service);
+        const ActiveRequest* ar = driver_->find_request(id);
+        const auto& svc = driver_->application().service(ar->type.nodes()[0].service);
         driver_->place(id, 0, MachineId(0), svc.demand * 0.25, driver_->now(), 300 * kMsec);
       }
       void on_node_unblocked(RequestId, std::size_t) override {}
@@ -222,7 +223,7 @@ TEST(Driver, AdjustLimitAccelerates) {
           // The resource-stretch actuation path.
           const auto& svc =
               driver_->application().service(
-                  driver_->find_request(id)->runtime.type().nodes()[node].service);
+                  driver_->find_request(id)->type.nodes()[node].service);
           driver_->adjust_limit(id, node, svc.demand);
         }
       }
@@ -339,7 +340,7 @@ TEST(DriverRequests, FindRequestCoversOnlyTheLiveWindow) {
   ASSERT_EQ(result.unfinished, 1u);
   EXPECT_EQ(driver.find_request(RequestId(0)), nullptr);  // completed: below the window
   ASSERT_NE(driver.find_request(RequestId(1)), nullptr);  // still live
-  EXPECT_EQ(driver.find_request(RequestId(1))->runtime.id(), RequestId(1));
+  EXPECT_EQ(driver.find_request(RequestId(1))->id, RequestId(1));
   EXPECT_EQ(driver.find_request(RequestId(2)), nullptr);  // never issued
   EXPECT_EQ(driver.find_request(RequestId(1000)), nullptr);
 }
@@ -348,7 +349,7 @@ TEST(DriverRequests, FindRequestCoversOnlyTheLiveWindow) {
 std::string placement_state(const ActiveRequest& ar, std::size_t node) {
   const DriverNode& dn = ar.nodes[node];
   std::ostringstream out;
-  out << "placed=" << dn.placed << " running=" << dn.running << " done=" << dn.done
+  out << "state=" << node_state_name(dn.state) << " pending_parents=" << dn.pending_parents
       << " planned_start=" << dn.planned_start << " startable_at=" << dn.startable_at
       << " reserved=[" << dn.reserved_begin << "," << dn.reserved_end << ")"
       << " reserve_duration=" << dn.reserve_duration
@@ -358,8 +359,7 @@ std::string placement_state(const ActiveRequest& ar, std::size_t node) {
       << " fault_event=" << dn.fault_event.valid()
       << " timeout_event=" << dn.timeout_event.valid()
       << " early_denial_streak=" << dn.early_denial_streak
-      << " stuck_notified=" << dn.stuck_notified
-      << " state=" << app::node_state_name(ar.runtime.node(node).state);
+      << " stuck_notified=" << dn.stuck_notified;
   return out.str();
 }
 
@@ -371,8 +371,8 @@ class LifecycleProbe : public IScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "lifecycle-probe"; }
   void on_request_arrival(RequestId id) override {
-    ActiveRequest* ar = driver_->find_request(id);
-    const auto& svc = driver_->application().service(ar->runtime.type().nodes()[0].service);
+    const ActiveRequest* ar = driver_->find_request(id);
+    const auto& svc = driver_->application().service(ar->type.nodes()[0].service);
     driver_->place(id, 0, MachineId(0), svc.demand, driver_->now(), 50 * kMsec);
     if (unplace_on_arrival) {
       driver_->unplace(id, 0);
@@ -491,11 +491,245 @@ TEST(DriverRequests, UnplaceCrashVoidAndFaultLeaveTheSameUnplacedState) {
   ASSERT_FALSE(voided.states.empty());
   ASSERT_FALSE(faulted.states.empty());
   EXPECT_EQ(unplaced.states.front(),
-            "placed=0 running=0 done=0 planned_start=-1 startable_at=-1 reserved=[-1,-1) "
+            "state=ready pending_parents=0 planned_start=-1 startable_at=-1 reserved=[-1,-1) "
             "reserve_duration=0 has_reservation=0 start_event=0 late_event=0 finish_event=0 "
-            "fault_event=0 timeout_event=0 early_denial_streak=0 stuck_notified=0 state=ready");
+            "fault_event=0 timeout_event=0 early_denial_streak=0 stuck_notified=0");
   EXPECT_EQ(voided.states.front(), unplaced.states.front());
   EXPECT_EQ(faulted.states.front(), unplaced.states.front());
+}
+
+// ---- one request record: each node's lifecycle state ---------------------
+
+/// Every node's state, space-separated in index order.
+std::string node_states(const ActiveRequest& ar) {
+  std::string out;
+  for (const DriverNode& dn : ar.nodes) {
+    if (!out.empty()) out += ' ';
+    out += node_state_name(dn.state);
+  }
+  return out;
+}
+
+/// Places each node on machine 0 as soon as it is ready (a node the test
+/// already placed is left alone) and logs the request's node states at each
+/// lifecycle callback. `inspect`, when set, runs right after each log entry,
+/// before the probe places anything.
+class DiamondProbe : public IScheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "diamond-probe"; }
+  void attach(SimulationDriver& driver) override {
+    IScheduler::attach(driver);
+    driver.subscribe(Hook::kNodeFinished);
+  }
+  void on_request_arrival(RequestId id) override {
+    const ActiveRequest& ar = *driver_->find_request(id);
+    std::string ready;
+    for (std::size_t n : ar.ready_nodes()) ready += std::to_string(n);
+    note("arrival ready=" + ready, ar);
+    for (std::size_t n : ar.ready_nodes()) place(ar, n);
+  }
+  void on_node_unblocked(RequestId id, std::size_t node) override {
+    const ActiveRequest& ar = *driver_->find_request(id);
+    note("unblocked " + std::to_string(node), ar);
+    place(ar, node);
+  }
+  void on_node_orphaned(RequestId id, std::size_t node) override {
+    const ActiveRequest& ar = *driver_->find_request(id);
+    note("orphaned " + std::to_string(node), ar);
+    place(ar, node);
+  }
+  void on_node_finished(RequestId id, std::size_t node) override {
+    note("finished " + std::to_string(node), *driver_->find_request(id));
+  }
+  void on_tick() override {}
+
+  std::function<void(const std::string& event, const ActiveRequest& ar)> inspect;
+  std::vector<std::string> log;
+  SimDuration reserve = 50 * kMsec;  ///< reservation per placement
+
+ private:
+  void note(const std::string& event, const ActiveRequest& ar) {
+    log.push_back(event + " | " + node_states(ar) + " | done=" + std::to_string(ar.done_count));
+    if (inspect) inspect(event, ar);
+  }
+  void place(const ActiveRequest& ar, std::size_t node) {
+    if (ar.nodes[node].state >= NodeState::kPlaced) return;
+    const auto& svc = driver_->application().service(ar.type.nodes()[node].service);
+    driver_->place(ar.id, node, MachineId(0), svc.demand, driver_->now(), reserve);
+  }
+};
+
+/// One diamond request (0 -> {1, 2} -> 3): node 1 runs ~2 ms and node 2
+/// ~40 ms, so 1 always finishes while 2 still runs.
+class RuntimeTest : public ::testing::Test {
+ protected:
+  RuntimeTest() {
+    const auto quick = app_.add_service("quick", {1000, 256, 50}, 2 * kMsec,
+                                        app::ServiceClass{1, 1, 1}, app::ResourceIntensity::kCpu);
+    const auto slow = app_.add_service("slow", {1000, 256, 50}, 40 * kMsec,
+                                       app::ServiceClass{1, 1, 1}, app::ResourceIntensity::kCpu);
+    auto builder = app_.build_request("diamond");
+    builder.node(quick).node(quick).node(slow).node(quick);
+    builder.edge(0, 1).edge(0, 2).edge(1, 3).edge(2, 3);
+    type_ = builder.commit();
+  }
+
+  /// Runs one diamond arriving at `arrival` under `probe`.
+  RunResult run(DiamondProbe& probe, const DriverParams& params, SimTime arrival = kMsec) {
+    driver_ = std::make_unique<SimulationDriver>(app_, probe, params);
+    driver_->load_arrivals({{arrival, type_}});
+    return driver_->run();
+  }
+
+  app::Application app_{"diamond"};
+  RequestTypeId type_;
+  std::unique_ptr<SimulationDriver> driver_;
+};
+
+TEST_F(RuntimeTest, RootsStartReady) {
+  DiamondProbe probe;
+  bool seen = false;
+  probe.inspect = [&](const std::string&, const ActiveRequest& ar) {
+    if (seen) return;
+    seen = true;
+    EXPECT_EQ(ar.id, RequestId(0));
+    EXPECT_EQ(&ar.type, &app_.request(type_));
+    EXPECT_EQ(ar.arrival, 7 * kMsec);
+    std::vector<std::size_t> ready;
+    for (std::size_t n : ar.ready_nodes()) ready.push_back(n);
+    EXPECT_EQ(ready, std::vector<std::size_t>{0});
+    std::vector<std::size_t> pending;
+    for (const DriverNode& dn : ar.nodes) pending.push_back(dn.pending_parents);
+    EXPECT_EQ(pending, (std::vector<std::size_t>{0, 1, 1, 2}));
+    EXPECT_EQ(ar.done_count, 0u);
+  };
+  run(probe, small_params(), 7 * kMsec);
+  ASSERT_TRUE(seen);
+  EXPECT_EQ(probe.log.front(), "arrival ready=0 | ready waiting waiting waiting | done=0");
+}
+
+TEST_F(RuntimeTest, LifecycleAndUnblocking) {
+  DiamondProbe probe;
+  probe.inspect = [&](const std::string& event, const ActiveRequest& ar) {
+    if (event.rfind("finished", 0) != 0) return;
+    const DriverNode& dn = ar.nodes[static_cast<std::size_t>(event.back() - '0')];
+    EXPECT_EQ(dn.finished_at, driver_->now()) << event;
+    EXPECT_LT(dn.started_at, dn.finished_at) << event;
+  };
+  const RunResult result = run(probe, small_params());
+  EXPECT_EQ(result.completed, 1u);
+  // A child unblocks only when its last parent finishes, in child order: at
+  // node 1's unblock, node 2 has no pending parent but is not ready yet.
+  EXPECT_EQ(probe.log, (std::vector<std::string>{
+                           "arrival ready=0 | ready waiting waiting waiting | done=0",
+                           "unblocked 1 | done ready waiting waiting | done=1",
+                           "unblocked 2 | done placed ready waiting | done=1",
+                           "finished 0 | done placed placed waiting | done=1",
+                           "finished 1 | done done running waiting | done=2",
+                           "unblocked 3 | done done done ready | done=3",
+                           "finished 2 | done done done placed | done=3",
+                           "finished 3 | done done done done | done=4",
+                       }));
+}
+
+TEST_F(RuntimeTest, IllegalTransitionsThrow) {
+  DiamondProbe probe;
+  probe.inspect = [&](const std::string& event, const ActiveRequest& ar) {
+    SimulationDriver& d = *driver_;
+    const cluster::ResourceVector demand{1000, 256, 50};
+    if (event.rfind("arrival", 0) == 0) {
+      EXPECT_THROW(d.unplace(ar.id, 0), InvariantError);               // ready, not placed
+      EXPECT_THROW(d.release_reservation(ar.id, 3), InvariantError);   // waiting
+      EXPECT_THROW(d.adjust_limit(ar.id, 0, demand), InvariantError);  // not running
+      d.place(ar.id, 0, MachineId(0), demand, d.now(), 50 * kMsec);
+      EXPECT_THROW(d.place(ar.id, 0, MachineId(0), demand, d.now(), 50 * kMsec), InvariantError);
+      EXPECT_THROW(d.adjust_limit(ar.id, 0, demand), InvariantError);  // placed, not running
+      EXPECT_EQ(ar.nodes[0].state, NodeState::kPlaced);
+    } else if (event.rfind("finished 0", 0) == 0) {
+      EXPECT_THROW(d.place(ar.id, 0, MachineId(0), demand, d.now(), 50 * kMsec), InvariantError);
+      EXPECT_THROW(d.unplace(ar.id, 0), InvariantError);
+      EXPECT_EQ(ar.nodes[0].state, NodeState::kDone);
+    }
+  };
+  EXPECT_EQ(run(probe, small_params()).completed, 1u);
+}
+
+TEST_F(RuntimeTest, IndependentOfActive) {
+  DiamondProbe probe;
+  int checked = 0;
+  probe.inspect = [&](const std::string& event, const ActiveRequest& ar) {
+    if (event.rfind("arrival", 0) == 0) {
+      // Nothing placed yet: every node is a candidate.
+      for (std::size_t n = 0; n < 4; ++n) EXPECT_TRUE(ar.independent_of_active(n)) << n;
+      const auto& svc = driver_->application().service(ar.type.nodes()[0].service);
+      driver_->place(ar.id, 0, MachineId(0), svc.demand, driver_->now(), 50 * kMsec);
+      // The placed root is active: it and everything downstream drop out.
+      for (std::size_t n = 0; n < 4; ++n) EXPECT_FALSE(ar.independent_of_active(n)) << n;
+      ++checked;
+    } else if (event == "unblocked 2") {
+      // 1 is placed: 3 depends on it; 2 does not; done and placed nodes
+      // are never candidates.
+      EXPECT_FALSE(ar.independent_of_active(0));
+      EXPECT_FALSE(ar.independent_of_active(1));
+      EXPECT_TRUE(ar.independent_of_active(2));
+      EXPECT_FALSE(ar.independent_of_active(3));
+      ++checked;
+    } else if (event == "finished 1") {
+      EXPECT_FALSE(ar.independent_of_active(3));  // parent 2 still running
+      ++checked;
+    }
+  };
+  EXPECT_EQ(run(probe, small_params()).completed, 1u);
+  EXPECT_EQ(checked, 3);
+}
+
+TEST_F(RuntimeTest, NodeStateFollowsEachTransition) {
+  DiamondProbe probe;
+  probe.inspect = [&](const std::string& event, const ActiveRequest& ar) {
+    SimulationDriver& d = *driver_;
+    const cluster::ResourceVector demand{1000, 256, 50};
+    if (event.rfind("arrival", 0) == 0) {
+      EXPECT_EQ(ar.nodes[1].state, NodeState::kWaiting);
+      // Unplace returns a node to ready when its dependencies are met ...
+      d.place(ar.id, 0, MachineId(0), demand, d.now() + kSec, 50 * kMsec);
+      EXPECT_EQ(ar.nodes[0].state, NodeState::kPlaced);
+      d.unplace(ar.id, 0);
+      EXPECT_EQ(ar.nodes[0].state, NodeState::kReady);
+      // ... and to waiting when they are not (a plan-ahead placement).
+      d.place(ar.id, 3, MachineId(0), demand, d.now() + kSec, 50 * kMsec);
+      EXPECT_EQ(ar.nodes[3].state, NodeState::kPlaced);
+      d.unplace(ar.id, 3);
+      EXPECT_EQ(ar.nodes[3].state, NodeState::kWaiting);
+    } else if (event == "unblocked 1") {
+      EXPECT_EQ(ar.nodes[1].state, NodeState::kReady);  // waiting -> ready on unblock
+    }
+  };
+  EXPECT_EQ(run(probe, small_params()).completed, 1u);
+
+  // A container fault kills every execution (it strikes within the 1 ms
+  // reservation, before the ~2 ms root can finish): the lost node is ready
+  // again when it comes back for its one retry, and after the second loss.
+  DiamondProbe faulted;
+  faulted.reserve = kMsec;
+  int orphaned = 0;
+  faulted.inspect = [&](const std::string& event, const ActiveRequest& ar) {
+    if (event != "orphaned 0") return;
+    ++orphaned;
+    EXPECT_EQ(ar.nodes[0].state, NodeState::kReady);
+    EXPECT_EQ(ar.nodes[0].attempts, 1);
+  };
+  DriverParams p = small_params();
+  p.failure.enabled = true;
+  p.failure.crashes_per_second = 0.0;
+  p.failure.container_fault_prob = 1.0;
+  p.failure.max_retries = 1;
+  const RunResult result = run(faulted, p);
+  EXPECT_EQ(orphaned, 1);
+  EXPECT_EQ(result.abandoned_requests, 1u);
+  const ActiveRequest* ar = driver_->find_request(RequestId(0));
+  ASSERT_NE(ar, nullptr);
+  EXPECT_EQ(ar->nodes[0].state, NodeState::kReady);
+  EXPECT_TRUE(ar->nodes[0].abandoned);
 }
 
 /// A forwarding wrapper shaped like the benchmark's policy probe: it

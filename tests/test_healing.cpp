@@ -53,20 +53,19 @@ TEST(Unplace, RevertsPlacementAndReservation) {
       auto& drv = *driver_;
       const auto& svc = drv.application().service(ServiceTypeId(0));
       drv.place(id, 0, MachineId(0), svc.demand, drv.now() + 2 * kSec, 50 * kMsec);
-      sched::ActiveRequest* ar = drv.find_request(id);
-      EXPECT_TRUE(ar->nodes[0].placed);
+      const sched::ActiveRequest* ar = drv.find_request(id);
+      EXPECT_EQ(ar->nodes[0].state, sched::NodeState::kPlaced);
       EXPECT_FALSE(drv.cluster().machine(MachineId(0)).ledger().fits(
           drv.now() + 2 * kSec, drv.now() + 2 * kSec + 50 * kMsec, {3500, 0, 0}));
 
       drv.unplace(id, 0);
-      EXPECT_FALSE(ar->nodes[0].placed);
-      EXPECT_EQ(ar->runtime.node(0).state, app::NodeState::kReady);
+      EXPECT_EQ(ar->nodes[0].state, sched::NodeState::kReady);
       // Reservation gone.
       EXPECT_TRUE(drv.cluster().machine(MachineId(0)).ledger().fits(
           drv.now() + 2 * kSec, drv.now() + 2 * kSec + 50 * kMsec, {3500, 0, 0}));
       // Can be re-placed.
       drv.place(id, 0, MachineId(1), svc.demand, drv.now(), 50 * kMsec);
-      EXPECT_TRUE(ar->nodes[0].placed);
+      EXPECT_EQ(ar->nodes[0].state, sched::NodeState::kPlaced);
       EXPECT_EQ(ar->nodes[0].machine, MachineId(1));
       *flag_ = true;
     }

@@ -40,7 +40,6 @@ TEST(InterfaceLayer, ForwardsMonitorsAndMetadata) {
 
   EXPECT_EQ(iface.now(), 0);
   EXPECT_EQ(iface.cluster().machine_count(), 4u);
-  EXPECT_DOUBLE_EQ(iface.machine_load(MachineId(0)), 0.0);
   EXPECT_EQ(&iface.application(), application.get());
   EXPECT_GT(iface.expected_ingress(), 0);
   EXPECT_LT(iface.expected_comm(MachineId(0), MachineId(0)),
@@ -73,10 +72,10 @@ TEST(InterfaceLayer, ControllersActuate) {
 
   bool checked = false;
   probe.hook = [&](RequestId id) {
-    const auto& rt = driver.find_request(id)->runtime.type();
+    const auto& rt = driver.find_request(id)->type;
     const auto& svc = driver.application().service(rt.nodes()[0].service);
     iface.place(id, 0, MachineId(1), svc.demand, driver.now(), 20 * kMsec);
-    EXPECT_TRUE(driver.find_request(id)->nodes[0].placed);
+    EXPECT_EQ(driver.find_request(id)->nodes[0].state, sched::NodeState::kPlaced);
     iface.release_reservation(id, 0);
     EXPECT_FALSE(driver.find_request(id)->nodes[0].has_reservation);
     checked = true;
@@ -104,7 +103,7 @@ TEST(Estimates, MeanExecUsesProfileThenFallsBack) {
 
   // Feed a manual history; the estimate must switch to it.
   for (int i = 0; i < 8; ++i) {
-    driver.profiles().record(rt.nodes()[0].service, compose, {{1, 1, 1}, 0.1, 99 * kMsec});
+    driver.profiles().record(rt.nodes()[0].service, compose, 99 * kMsec);
   }
   EXPECT_EQ(sched::estimate_mean_exec(driver, rt, 0), 99 * kMsec);
 }

@@ -66,8 +66,8 @@ TEST(Metrics, EstimateSlackBandBehaviour) {
   const ServiceTypeId svc(0);
   const RequestTypeId req(0);
   // History: 99 fast cases and one slow outlier.
-  for (int i = 0; i < 99; ++i) profiles.record(svc, req, {{1, 1, 1}, 0.1, 10 * kMsec});
-  profiles.record(svc, req, {{1, 1, 1}, 0.1, 80 * kMsec});
+  for (int i = 0; i < 99; ++i) profiles.record(svc, req, 10 * kMsec);
+  profiles.record(svc, req, 80 * kMsec);
 
   VmlpParams params;
   // Low band: the historical maximum slack.
@@ -93,8 +93,8 @@ TEST(Metrics, VolatilityBlindUsesMean) {
   trace::ProfileStore profiles;
   const ServiceTypeId svc(0);
   const RequestTypeId req(0);
-  for (int i = 0; i < 10; ++i) profiles.record(svc, req, {{1, 1, 1}, 0.1, 10 * kMsec});
-  profiles.record(svc, req, {{1, 1, 1}, 0.1, 120 * kMsec});
+  for (int i = 0; i < 10; ++i) profiles.record(svc, req, 10 * kMsec);
+  profiles.record(svc, req, 120 * kMsec);
   VmlpParams params;
   params.volatility_aware = false;
   // Mean regardless of the band (the ablation path).

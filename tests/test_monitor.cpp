@@ -19,14 +19,16 @@ TEST(Monitor, ManualSampling) {
   ClusterMonitor monitor(clustr, 100 * kMsec, kSec, 10 * kSec);
   monitor.sample(0);
   EXPECT_EQ(monitor.sample_count(), 1u);
-  EXPECT_DOUBLE_EQ(monitor.latest().overall, 0.0);
+  EXPECT_DOUBLE_EQ(monitor.mean_overall(), 0.0);
 
   clustr.machine(MachineId(0)).add_container(ContainerId(0), InstanceId(0), {500, 500, 500},
                                              {500, 500, 500});
   monitor.sample(kSec);
-  // One of two machines at 50% on all three dims: U = 1.5 / 6 = 0.25.
-  EXPECT_NEAR(monitor.latest().overall, 0.25, 1e-12);
-  EXPECT_EQ(monitor.latest().time, kSec);
+  // One of two machines at 50% on all three dims: U = 1.5 / 6 = 0.25, in the
+  // bucket that holds t = 1 s.
+  EXPECT_DOUBLE_EQ(monitor.overall_series().mean(0), 0.0);
+  EXPECT_NEAR(monitor.overall_series().mean(1), 0.25, 1e-12);
+  EXPECT_EQ(monitor.overall_series().samples(1), 1u);
   EXPECT_NEAR(monitor.mean_overall(), 0.125, 1e-12);
 }
 
@@ -36,8 +38,10 @@ TEST(Monitor, PerResourceSeries) {
   clustr.machine(MachineId(0)).add_container(ContainerId(0), InstanceId(0), {1000, 0, 0},
                                              {1000, 0, 0});
   monitor.sample(500 * kMsec);
-  EXPECT_NEAR(monitor.cpu_series().mean(0), 0.5, 1e-12);  // 1000 of 2000 total
-  EXPECT_NEAR(monitor.mem_series().mean(0), 0.0, 1e-12);
+  // U folds every resource dimension: a full CPU on one of two machines is
+  // 1.0 of 6 machine-dimensions.
+  EXPECT_NEAR(monitor.overall_series().mean(0), 1.0 / 6.0, 1e-12);
+  EXPECT_NEAR(monitor.mean_overall(), 1.0 / 6.0, 1e-12);
 }
 
 TEST(Monitor, AttachSamplesPeriodically) {

@@ -77,8 +77,8 @@ TEST(SelfOrganizing, CommitsWholeChainAtomically) {
   sched::SimulationDriver driver(*application, probe, tiny_cluster(2));
   probe.hook = [&](RequestId id) {
     EXPECT_TRUE(probe.organizer->organize(id));
-    sched::ActiveRequest* ar = driver.find_request(id);
-    for (std::size_t n = 0; n < 4; ++n) EXPECT_TRUE(ar->nodes[n].placed) << n;
+    const sched::ActiveRequest* ar = driver.find_request(id);
+    for (std::size_t n = 0; n < 4; ++n) EXPECT_EQ(ar->nodes[n].state, sched::NodeState::kPlaced) << n;
     EXPECT_EQ(probe.organizer->plans_committed(), 1u);
   };
   driver.load_arrivals({{kMsec, RequestTypeId(0)}});
@@ -95,7 +95,7 @@ TEST(SelfOrganizing, OverlayAvoidsSelfCollision) {
   sched::SimulationDriver driver(*application, probe, tiny_cluster(2));
   probe.hook = [&](RequestId id) {
     ASSERT_TRUE(probe.organizer->organize(id));
-    sched::ActiveRequest* ar = driver.find_request(id);
+    const sched::ActiveRequest* ar = driver.find_request(id);
     const auto& a = ar->nodes[1];
     const auto& b = ar->nodes[2];
     const bool same_machine = a.machine == b.machine;
@@ -113,7 +113,7 @@ TEST(SelfOrganizing, PlannedStartsRespectDependencies) {
   sched::SimulationDriver driver(*application, probe, tiny_cluster(4));
   probe.hook = [&](RequestId id) {
     ASSERT_TRUE(probe.organizer->organize(id));
-    sched::ActiveRequest* ar = driver.find_request(id);
+    const sched::ActiveRequest* ar = driver.find_request(id);
     // Children planned after parents' planned start (+ their slack windows).
     EXPECT_GT(ar->nodes[1].planned_start, ar->nodes[0].planned_start);
     EXPECT_GT(ar->nodes[3].planned_start, ar->nodes[1].planned_start);
@@ -138,8 +138,8 @@ TEST(SelfOrganizing, DefersWhenClusterSaturated) {
     EXPECT_FALSE(probe.organizer->organize(id));
     EXPECT_EQ(probe.organizer->plans_deferred(), 1u);
     EXPECT_GE(probe.organizer->last_defer_at(), 0);
-    sched::ActiveRequest* ar = driver.find_request(id);
-    for (std::size_t n = 0; n < 4; ++n) EXPECT_FALSE(ar->nodes[n].placed) << n;
+    const sched::ActiveRequest* ar = driver.find_request(id);
+    for (std::size_t n = 0; n < 4; ++n) EXPECT_LT(ar->nodes[n].state, sched::NodeState::kPlaced) << n;
     // Clean up so the run can end: release the artificial load.
     driver.cluster().machine(MachineId(0)).ledger().release(driver.now(),
                                                             driver.now() + 2 * kSec,
@@ -171,8 +171,8 @@ TEST(SelfOrganizing, SlackOfGrowsWithBandConservatism) {
   ProbeScheduler probe;
   sched::SimulationDriver driver(*suite, probe, tiny_cluster(4));
   probe.hook = [&](RequestId id) {
-    sched::ActiveRequest* ar = driver.find_request(id);
-    const auto& type = ar->runtime.type();
+    const sched::ActiveRequest* ar = driver.find_request(id);
+    const auto& type = ar->type;
     for (std::size_t n = 0; n < type.size(); ++n) {
       const SimDuration slack = probe.organizer->slack_of(id, n);
       EXPECT_GT(slack, 0);

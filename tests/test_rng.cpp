@@ -199,15 +199,6 @@ TEST(Rng, WeightedIndexRejectsDegenerate) {
   EXPECT_THROW(rng.weighted_index(negative), InvariantError);
 }
 
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(37);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto original = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, original);
-}
-
 TEST(Rng, HashLabelStable) {
   EXPECT_EQ(hash_label("comm"), hash_label("comm"));
   EXPECT_NE(hash_label("comm"), hash_label("exec"));

@@ -116,9 +116,6 @@ TEST(Tracer, ReleaseRecyclesSlotsAndDropsTheRequest) {
 
 class ProfileStoreTest : public ::testing::Test {
  protected:
-  static ExecutionCase make_case(SimDuration exec) {
-    return ExecutionCase{{100, 100, 10}, 0.2, exec};
-  }
   ServiceTypeId svc_{1};
   RequestTypeId req_{2};
 };
@@ -134,7 +131,7 @@ TEST_F(ProfileStoreTest, EmptyQueriesReturnNullopt) {
 
 TEST_F(ProfileStoreTest, MeanAndMax) {
   ProfileStore store;
-  for (SimDuration t : {10, 20, 30}) store.record(svc_, req_, make_case(t));
+  for (SimDuration t : {10, 20, 30}) store.record(svc_, req_, t);
   EXPECT_EQ(store.case_count(svc_, req_), 3u);
   EXPECT_EQ(*store.mean_exec(svc_, req_), 20);
   EXPECT_EQ(*store.max_slack(svc_, req_), 30);
@@ -142,8 +139,8 @@ TEST_F(ProfileStoreTest, MeanAndMax) {
 
 TEST_F(ProfileStoreTest, KeysAreIndependent) {
   ProfileStore store;
-  store.record(svc_, req_, make_case(10));
-  store.record(ServiceTypeId(9), req_, make_case(99));
+  store.record(svc_, req_, 10);
+  store.record(ServiceTypeId(9), req_, 99);
   EXPECT_EQ(*store.max_slack(svc_, req_), 10);
   EXPECT_EQ(*store.max_slack(ServiceTypeId(9), req_), 99);
   EXPECT_FALSE(store.has_history(svc_, RequestTypeId(7)));
@@ -151,7 +148,7 @@ TEST_F(ProfileStoreTest, KeysAreIndependent) {
 
 TEST_F(ProfileStoreTest, RingEvictionOldestFirst) {
   ProfileStore store(4);
-  for (SimDuration t = 1; t <= 6; ++t) store.record(svc_, req_, make_case(t * 10));
+  for (SimDuration t = 1; t <= 6; ++t) store.record(svc_, req_, t * 10);
   EXPECT_EQ(store.case_count(svc_, req_), 4u);
   // Oldest two (10, 20) evicted.
   const auto times = store.exec_times(svc_, req_);
@@ -162,7 +159,7 @@ TEST_F(ProfileStoreTest, RingEvictionOldestFirst) {
 TEST_F(ProfileStoreTest, QuantileOfRecentWindow) {
   ProfileStore store;
   // 100 cases: 1..100.
-  for (SimDuration t = 1; t <= 100; ++t) store.record(svc_, req_, make_case(t));
+  for (SimDuration t = 1; t <= 100; ++t) store.record(svc_, req_, t);
   // Most recent 10%: 91..100 — median 95 or 96.
   const auto q50 = *store.quantile_of_recent(svc_, req_, 0.5, 10.0);
   EXPECT_NEAR(static_cast<double>(q50), 95.5, 1.0);
@@ -182,7 +179,7 @@ TEST_F(ProfileStoreTest, QuantileMatchesASortedWindowOnAWrappedRing) {
   std::vector<SimDuration> history;
   for (SimDuration i = 0; i < 150; ++i) {
     history.push_back((i * 7919) % 97 * 10);
-    store.record(svc_, req_, make_case(history.back()));
+    store.record(svc_, req_, history.back());
   }
   for (const double x : {1.0, 10.0, 33.0, 50.0, 100.0}) {
     const std::size_t take = std::max<std::size_t>(
@@ -206,13 +203,13 @@ TEST_F(ProfileStoreTest, QuantileMatchesASortedWindowOnAWrappedRing) {
 
 TEST_F(ProfileStoreTest, QuantileTakesAtLeastOne) {
   ProfileStore store;
-  store.record(svc_, req_, make_case(42));
+  store.record(svc_, req_, 42);
   EXPECT_EQ(*store.quantile_of_recent(svc_, req_, 0.99, 1.0), 42);
 }
 
 TEST_F(ProfileStoreTest, QuantileParamValidation) {
   ProfileStore store;
-  store.record(svc_, req_, make_case(1));
+  store.record(svc_, req_, 1);
   EXPECT_THROW((void)store.quantile_of_recent(svc_, req_, 1.5, 50), InvariantError);
   EXPECT_THROW((void)store.quantile_of_recent(svc_, req_, 0.5, 0.0), InvariantError);
   EXPECT_THROW((void)store.quantile_of_recent(svc_, req_, 0.5, 101.0), InvariantError);
@@ -220,22 +217,22 @@ TEST_F(ProfileStoreTest, QuantileParamValidation) {
 
 TEST_F(ProfileStoreTest, CachedQuantileRefreshesAfterStaleness) {
   ProfileStore store;
-  for (int i = 0; i < 10; ++i) store.record(svc_, req_, make_case(10));
+  for (int i = 0; i < 10; ++i) store.record(svc_, req_, 10);
   EXPECT_EQ(*store.quantile_of_recent(svc_, req_, 0.5, 100.0), 10);
   // Flood with much larger values: after the staleness window the cached
   // quantile must reflect them.
   for (std::uint64_t i = 0; i < 2 * ProfileStore::kCacheStaleness; ++i) {
-    store.record(svc_, req_, make_case(1000));
+    store.record(svc_, req_, 1000);
   }
   EXPECT_EQ(*store.quantile_of_recent(svc_, req_, 0.5, 100.0), 1000);
 }
 
 TEST_F(ProfileStoreTest, CachedMaxRefreshes) {
   ProfileStore store(512);
-  store.record(svc_, req_, make_case(10));
+  store.record(svc_, req_, 10);
   EXPECT_EQ(*store.max_slack(svc_, req_), 10);
   for (std::uint64_t i = 0; i < 2 * ProfileStore::kCacheStaleness; ++i) {
-    store.record(svc_, req_, make_case(500));
+    store.record(svc_, req_, 500);
   }
   EXPECT_EQ(*store.max_slack(svc_, req_), 500);
 }
@@ -244,7 +241,7 @@ TEST_F(ProfileStoreTest, IncrementalMeanMatchesRecomputeUnderEviction) {
   ProfileStore store(8);
   Rng rng(7);
   for (int i = 0; i < 100; ++i) {
-    store.record(svc_, req_, make_case(rng.uniform_int(1, 1000)));
+    store.record(svc_, req_, rng.uniform_int(1, 1000));
     const auto times = store.exec_times(svc_, req_);
     double sum = 0.0;
     for (auto t : times) sum += static_cast<double>(t);
@@ -257,7 +254,7 @@ TEST_F(ProfileStoreTest, ZeroCapacityThrows) { EXPECT_THROW(ProfileStore(0), Inv
 
 TEST_F(ProfileStoreTest, NegativeExecTimeThrows) {
   ProfileStore store;
-  EXPECT_THROW(store.record(svc_, req_, make_case(-1)), InvariantError);
+  EXPECT_THROW(store.record(svc_, req_, -1), InvariantError);
 }
 
 // ---- failure-phase ledger -------------------------------------------------

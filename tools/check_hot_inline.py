@@ -12,8 +12,10 @@ body moves back into a .cpp file, or when a check at the call site grows a
 message stream big enough that the compiler declines to inline (see
 common/error.h). The driver's hook-subscription test,
 `SimulationDriver::wants`, runs on every node start and finish, and its
-request-table lookup, `SimulationDriver::find_request`, runs in every
-scheduler callback; both are guarded the same way. So is the ledger's clean
+request-table lookups run in every scheduler callback
+(`SimulationDriver::find_request`, the read-only one schedulers get) and
+in every node transition (`SimulationDriver::live_request`, the driver's
+own); all three are guarded the same way. So is the ledger's clean
 check, `ReservationLedger::refresh_peak`, which every window query runs
 before it reads the profile (the refold behind it stays out of line).
 
@@ -48,12 +50,12 @@ HOT_FUNCTIONS = (
     "vmlp::cluster::ResourceVector::near_zero",
     "vmlp::audit::enabled",
     "vmlp::cluster::ReservationLedger::refresh_peak",
-    "vmlp::app::RequestRuntime::node",
     "vmlp::app::Dag::parents",
     "vmlp::app::Application::service",
     "vmlp::sched::SimulationDriver::expected_comm",
     "vmlp::sched::SimulationDriver::wants",
     "vmlp::sched::SimulationDriver::find_request",
+    "vmlp::sched::SimulationDriver::live_request",
     "vmlp::cluster::Cluster::machine",
     "vmlp::net::Topology::rack_of",
 )

@@ -78,15 +78,18 @@ class FindOutlinedTest(unittest.TestCase):
         found = check_hot_inline.find_outlined(text)
         self.assertEqual(len(found), len(check_hot_inline.HOT_FUNCTIONS))
 
-    def test_driver_request_lookup_is_hot_but_tracer_lookup_is_not(self):
+    def test_driver_request_lookups_are_hot_but_tracer_lookup_is_not(self):
         text = ("driver.cpp.o:\n"
                 "0000000000000000 W vmlp::sched::SimulationDriver::find_request("
+                "vmlp::StrongId<vmlp::RequestTag, unsigned long>) const\n"
+                "0000000000000040 W vmlp::sched::SimulationDriver::live_request("
                 "vmlp::StrongId<vmlp::RequestTag, unsigned long>)\n"
                 "00000000000008b0 T vmlp::trace::Tracer::find_request("
                 "vmlp::StrongId<vmlp::RequestTag, unsigned long>) const\n")
         found = check_hot_inline.find_outlined(text)
-        self.assertEqual(len(found), 1)
+        self.assertEqual(len(found), 2)
         self.assertTrue(found[0][1].startswith("vmlp::sched::SimulationDriver::find_request("))
+        self.assertTrue(found[1][1].startswith("vmlp::sched::SimulationDriver::live_request("))
 
     def test_ledger_clean_check_is_hot_but_its_refold_is_not(self):
         text = ("reservation.cpp.o:\n"
