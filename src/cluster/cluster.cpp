@@ -33,12 +33,6 @@ double Cluster::overall_utilization() const {
   return total / (3.0 * static_cast<double>(machines_.size()));
 }
 
-ResourceVector Cluster::total_capacity() const {
-  ResourceVector total;
-  for (const auto& m : machines_) total += m.capacity();
-  return total;
-}
-
 void Cluster::compact_ledgers_before(SimTime t) {
   for (std::size_t i = 0; i < machines_.size(); ++i) {
     machines_[i].ledger().compact_before(t);

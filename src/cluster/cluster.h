@@ -43,9 +43,6 @@ class Cluster {
   /// (#resource types × #nodes). In [0, 1].
   [[nodiscard]] double overall_utilization() const;
 
-  /// Total capacity across the cluster.
-  [[nodiscard]] ResourceVector total_capacity() const;
-
   /// Drop reservation-profile history before t on every machine.
   void compact_ledgers_before(SimTime t);
 

@@ -62,7 +62,7 @@ struct ObsCapture {
   std::vector<obs::PolicySlice> policy_slices; ///< host-clock callback profile
   std::size_t policy_slices_dropped = 0;
   std::vector<trace::Span> spans;              ///< microservice lanes for the trace
-  /// Request lifecycles (arrival/completion), arrival order. Pairs with
+  /// Request lifecycles (arrival/completion), (arrival, id) order. Pairs with
   /// `spans` to drive per-request attribution: the critical-path extractor
   /// needs each request's end-to-end window, not just its spans.
   std::vector<trace::RequestRecord> request_records;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -12,7 +11,6 @@
 #include "obs/export.h"
 #include "sched/driver.h"
 #include "stats/percentile.h"
-#include "trace/critical_path.h"
 
 namespace vmlp::exp {
 
@@ -112,19 +110,18 @@ std::vector<std::string> failure_cells(const sched::RunResult& r) {
           fmt_ms(r.orphaned_p99_latency_us)};
 }
 
-namespace {
-
-/// Spans of each traced request, grouped from the capture's flat span list
-/// (insertion order preserved within a request — the extractor sorts as it
-/// needs). Keyed by raw request id.
-std::unordered_map<std::uint64_t, std::vector<const trace::Span*>> group_spans(
-    const std::vector<trace::Span>& spans) {
-  std::unordered_map<std::uint64_t, std::vector<const trace::Span*>> by_request;
-  for (const trace::Span& s : spans) by_request[s.request.value()].push_back(&s);
-  return by_request;
+std::vector<RequestPath> critical_paths(const ObsCapture& capture) {
+  std::vector<RequestPath> out;
+  const auto by_request = trace::group_by_request(capture.spans);
+  for (const trace::RequestRecord& rec : capture.request_records) {
+    const auto it = by_request.find(rec.id);
+    if (!rec.finished() || it == by_request.end()) continue;
+    auto path = trace::extract_critical_path(rec.arrival, *rec.completion, it->second);
+    if (path.steps.empty()) continue;
+    out.push_back(RequestPath{&rec, std::move(path)});
+  }
+  return out;
 }
-
-}  // namespace
 
 std::vector<std::string> attribution_phase_columns() {
   std::vector<std::string> columns;
@@ -142,8 +139,6 @@ void print_attribution_report(const ObsCapture& capture, std::ostream& out) {
     return;
   }
 
-  const auto by_request = group_spans(capture.spans);
-
   // Per-request-type accumulation: latency samples plus each completed
   // request's critical-path decomposition.
   struct Extracted {
@@ -157,17 +152,12 @@ void print_attribution_report(const ObsCapture& capture, std::ostream& out) {
   };
   std::map<std::uint64_t, TypeAgg> by_type;  // ordered → stable row order
 
-  for (const trace::RequestRecord& rec : capture.request_records) {
-    if (!rec.finished()) continue;
-    const auto it = by_request.find(rec.id.value());
-    if (it == by_request.end()) continue;
-    const auto path = trace::extract_critical_path(rec, it->second);
-    if (path.steps.empty()) continue;
-    TypeAgg& agg = by_type[rec.type.value()];
+  for (const RequestPath& rp : critical_paths(capture)) {
+    TypeAgg& agg = by_type[rp.record->type.value()];
     Extracted ex;
-    ex.latency = static_cast<double>(rec.latency());
-    ex.path_len = path.steps.size();
-    ex.totals = path.totals;
+    ex.latency = static_cast<double>(rp.record->latency());
+    ex.path_len = rp.path.steps.size();
+    ex.totals = rp.path.totals;
     agg.latencies.add(ex.latency);
     agg.requests.push_back(ex);
   }
@@ -237,15 +227,8 @@ void write_perfetto_trace(const ObsCapture& capture, std::ostream& out) {
     // Blocking-chain spans across all traced requests: marked critical:true
     // in the execution lanes and re-emitted on the dedicated pid-4 lane.
     std::unordered_set<const trace::Span*> critical;
-    if (!capture.request_records.empty() && !capture.spans.empty()) {
-      const auto by_request = group_spans(capture.spans);
-      for (const trace::RequestRecord& rec : capture.request_records) {
-        if (!rec.finished()) continue;
-        const auto it = by_request.find(rec.id.value());
-        if (it == by_request.end()) continue;
-        const auto path = trace::extract_critical_path(rec, it->second);
-        for (const trace::CriticalStep& step : path.steps) critical.insert(step.span);
-      }
+    for (const RequestPath& rp : critical_paths(capture)) {
+      for (const trace::CriticalStep& step : rp.path.steps) critical.insert(step.span);
     }
 
     writer.process_name(kSpansPid, "sim: microservice execution");

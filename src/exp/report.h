@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "trace/critical_path.h"
+#include "trace/tracer.h"
+
 namespace vmlp::sched {
 struct RunResult;
 }
@@ -60,6 +63,18 @@ std::vector<std::string> failure_cells(const sched::RunResult& r);
 /// Column titles for the attribution blame tables: trace::phase_name() of
 /// each trace::Phase, in declaration order.
 std::vector<std::string> attribution_phase_columns();
+
+/// One finished request's blocking chain (see trace/critical_path.h).
+struct RequestPath {
+  const trace::RequestRecord* record = nullptr;  ///< points into the capture
+  trace::CriticalPathResult path;
+};
+
+/// The blocking chain of every finished request in `capture` that has spans,
+/// in request_records order. Every capture-side reader of a request's chain
+/// (the blame report, the Perfetto critical lane, bench/breakdown_analysis)
+/// takes it from here.
+std::vector<RequestPath> critical_paths(const ObsCapture& capture);
 
 /// Print the per-request-class latency attribution report: for each request
 /// type with completed traced requests, the mean critical-path phase shares

@@ -552,7 +552,7 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
     // audit-tier identity check: run it when spans exist and one of them
     // reads it.
     if (params_.trace_spans && (obs_ != nullptr || audit::enabled())) {
-      attribute_request(*ar, id);
+      attribute_request(*ar, t);
     }
     if (ar->degraded) orphaned_latencies_.add(static_cast<double>(t - ar->arrival));
     ++completed_;
@@ -568,26 +568,26 @@ void SimulationDriver::finish_node(RequestId id, std::size_t node) {
   }
 }
 
-void SimulationDriver::attribute_request(const ActiveRequest& ar, RequestId id) {
+void SimulationDriver::attribute_request(const ActiveRequest& ar, SimTime completion) {
   // Write-only analysis over the already-recorded spans: nothing below may
   // touch simulated state, RNG streams, or scheduler-visible data — that is
   // what keeps attribution on/off byte-identical (determinism_check claim 8).
-  const trace::RequestRecord* rec = tracer_.find_request(id);
-  VMLP_CHECK_MSG(rec != nullptr && rec->finished(), "attribution before completion");
+  const SimDuration latency_us = completion - ar.arrival;
   const app::Dag& dag = ar.type.dag();
-  const auto path = trace::extract_critical_path(*rec, tracer_.spans_of(id), &dag);
+  const auto path =
+      trace::extract_critical_path(ar.arrival, completion, tracer_.spans_of(ar.id), &dag);
   // The acceptance identity: phases along the blocking chain telescope to
   // the end-to-end latency, exactly, in simulated time.
-  VMLP_AUDIT_ASSERT(path.phase_sum() == rec->latency(),
+  VMLP_AUDIT_ASSERT(path.phase_sum() == latency_us,
                     "critical-path phases sum to " << path.phase_sum() << "us but request "
-                                                   << id.value() << " took " << rec->latency()
+                                                   << ar.id.value() << " took " << latency_us
                                                    << "us end to end");
   if (obs_ == nullptr) return;
   static_assert(trace::kPhaseCount == obs::Collector::AttributionMetrics::kPhases,
                 "attribution metric families must cover every trace::Phase");
   const auto band = app_.band(ar.type.id());
   const auto& bm = obs_->attribution().band[static_cast<std::size_t>(band)];
-  const auto latency = static_cast<double>(rec->latency());
+  const auto latency = static_cast<double>(latency_us);
   if (latency > 0.0) {
     for (std::size_t p = 0; p < trace::kPhaseCount; ++p) {
       obs_->observe(bm.phase_share[p], static_cast<double>(path.totals[p]) / latency);
@@ -605,7 +605,7 @@ void SimulationDriver::resolve_startable(DriverNode& dn) {
   for (const auto& msg : dn.parent_msgs) {
     const SimTime arrived = msg.finish + comm_.sample_delay(msg.machine, dn.machine);
     // Blocking edge: latest message arrival, ties to the lower parent
-    // index (the deterministic convention shared with trace/export).
+    // index (deterministic; trace/critical_path and trace/export follow it).
     if (arrived > startable || (arrived == startable && msg.parent < blocking)) {
       startable = arrived;
       blocking = msg.parent;

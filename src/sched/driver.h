@@ -143,7 +143,8 @@ struct DriverNode {
   ArenaVector<ParentMsg> parent_msgs;
   SimTime startable_at = -1;  ///< max(parent finish + comm), known once placed & unblocked
   /// Parent whose message bounded startable_at (latest arrival, ties to the
-  /// lower parent index — matching the Zipkin parentId convention).
+  /// lower parent index). Recorded on the span: the critical-path walk and
+  /// the Zipkin parentId both follow it.
   /// trace::Span::kNoNode for roots.
   std::uint32_t blocking_parent = trace::Span::kNoNode;
   /// Failure-phase intervals accrued across lost attempts (attribution
@@ -437,7 +438,7 @@ class SimulationDriver {
   /// path from the recorded spans, observe the per-band `attribution.*`
   /// histograms, and (audit tier) assert the exact phase-sum identity.
   /// Write-only: never touches simulated state.
-  void attribute_request(const ActiveRequest& ar, RequestId id);
+  void attribute_request(const ActiveRequest& ar, SimTime completion);
   [[nodiscard]] double instance_rate(const app::MicroserviceType& type, const DriverNode& dn,
                                      const cluster::ResourceVector& effective) const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
-
 namespace vmlp::trace {
 
 const char* phase_name(Phase p) {
@@ -136,11 +134,11 @@ CriticalPathResult extract_critical_path(SimTime arrival, SimTime completion,
   return result;
 }
 
-CriticalPathResult extract_critical_path(const RequestRecord& record,
-                                         const std::vector<const Span*>& spans,
-                                         const app::Dag* dag) {
-  VMLP_CHECK_MSG(record.finished(), "critical path of unfinished request " << record.id.value());
-  return extract_critical_path(record.arrival, *record.completion, spans, dag);
+std::unordered_map<RequestId, std::vector<const Span*>> group_by_request(
+    const std::vector<Span>& spans) {
+  std::unordered_map<RequestId, std::vector<const Span*>> by_request;
+  for (const Span& s : spans) by_request[s.request].push_back(&s);
+  return by_request;
 }
 
 }  // namespace vmlp::trace

@@ -26,8 +26,14 @@
 //
 // Deterministic tie-breaking: the finishing node is the latest-ending span
 // (ties to the lower node index), and `blocking_parent` was chosen by the
-// driver with the same latest-finish/lowest-index rule — so the extracted
-// path is a pure function of the recorded spans, byte-stable across runs.
+// driver as the parent whose message arrived last (ties to the lower parent
+// index) — so the extracted path is a pure function of the recorded spans,
+// byte-stable across runs.
+//
+// This walk is the only rule that picks a request's chain: the attribution
+// histograms, the blame report, the Perfetto/Zipkin `critical` tags and
+// bench/breakdown_analysis all read it, and the Zipkin `parentId` is the
+// same recorded `blocking_parent` edge.
 //
 // Everything here is read-only analysis over already-recorded data; it never
 // feeds back into scheduling (zero-perturbation contract).
@@ -35,12 +41,12 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "app/dag.h"
 #include "common/arena.h"
 #include "trace/span.h"
-#include "trace/tracer.h"
 
 namespace vmlp::trace {
 
@@ -155,9 +161,9 @@ struct CriticalPathResult {
                                                        const std::vector<const Span*>& spans,
                                                        const app::Dag* dag = nullptr);
 
-/// Convenience overload for a finished request record.
-[[nodiscard]] CriticalPathResult extract_critical_path(const RequestRecord& record,
-                                                       const std::vector<const Span*>& spans,
-                                                       const app::Dag* dag = nullptr);
+/// Each request's spans, grouped from a flat span list (Tracer::spans() or a
+/// capture's copy of it), in recorded order within a request.
+[[nodiscard]] std::unordered_map<RequestId, std::vector<const Span*>> group_by_request(
+    const std::vector<Span>& spans);
 
 }  // namespace vmlp::trace

@@ -12,48 +12,31 @@ namespace vmlp::trace {
 
 std::string json_escape(const std::string& s) { return vmlp::json_escape(s); }
 
-namespace {
-
-/// The span this one should point at as its Zipkin parent: among the
-/// request's recorded spans, the DAG parent that finished last (the edge the
-/// start actually waited on); ties break to the lower node index. Null for
-/// roots, spans without a node index, or parents not (yet) recorded.
-const Span* parent_span(const Tracer& tracer, const app::Application& application,
-                        const Span& span) {
-  if (span.node == Span::kNoNode) return nullptr;
-  const auto& dag = application.request(span.request_type).dag();
-  if (span.node >= dag.node_count()) return nullptr;
-  const auto& parents = dag.parents(span.node);
-  if (parents.empty()) return nullptr;
-  const Span* best = nullptr;
-  for (const Span* candidate : tracer.spans_of(span.request)) {
-    if (candidate->node == Span::kNoNode) continue;
-    bool is_parent = false;
-    for (std::size_t p : parents) is_parent = is_parent || candidate->node == p;
-    if (!is_parent) continue;
-    if (best == nullptr || candidate->end > best->end ||
-        (candidate->end == best->end && candidate->node < best->node)) {
-      best = candidate;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 void export_spans_json(const Tracer& tracer, const app::Application& application,
                        std::ostream& out, const SpanExportOptions& options) {
+  const auto by_request = group_by_request(tracer.spans());
   // Blocking-chain membership per finished request, when requested: the set
   // of spans whose phases carry the end-to-end latency.
   std::unordered_set<const Span*> critical;
   if (options.mark_critical) {
     for (const RequestRecord* rec : tracer.requests()) {
-      if (!rec->finished()) continue;
-      const app::Dag& dag = application.request(rec->type).dag();
-      const auto path = extract_critical_path(*rec, tracer.spans_of(rec->id), &dag);
+      const auto it = by_request.find(rec->id);
+      if (!rec->finished() || it == by_request.end()) continue;
+      const auto path = extract_critical_path(rec->arrival, *rec->completion, it->second);
       for (const CriticalStep& step : path.steps) critical.insert(step.span);
     }
   }
+  // The Zipkin parent is the recorded blocking edge: the request's span of
+  // this span's `blocking_parent` node (the later-recorded one on
+  // duplicates, as the extractor keeps).
+  auto parent_of = [&by_request](const Span& span) -> const Span* {
+    if (span.node == Span::kNoNode || span.blocking_parent == Span::kNoNode) return nullptr;
+    const Span* parent = nullptr;
+    for (const Span* s : by_request.at(span.request)) {
+      if (s->node == span.blocking_parent) parent = s;
+    }
+    return parent;
+  };
 
   out << "[";
   bool first = true;
@@ -64,7 +47,7 @@ void export_spans_json(const Tracer& tracer, const app::Application& application
     const auto& req = application.request(span.request_type);
     out << "\n  {\"traceId\":\"" << span.request.value() << "\""
         << ",\"id\":\"" << span.instance.value() << "\"";
-    if (const Span* parent = parent_span(tracer, application, span); parent != nullptr) {
+    if (const Span* parent = parent_of(span); parent != nullptr) {
       out << ",\"parentId\":\"" << parent->instance.value() << "\"";
     }
     out << ",\"name\":\"" << json_escape(svc.name) << "\""

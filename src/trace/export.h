@@ -32,9 +32,11 @@ struct SpanExportOptions {
 /// [{"traceId","id","parentId","name","timestamp","duration",
 ///   "localEndpoint":{...},"tags":{...}}...].
 /// Timestamps are simulated microseconds. `parentId` links each span to the
-/// latest-finishing DAG parent recorded for the same request (ties break to
-/// the lower node index), so Zipkin/Jaeger render the request as a proper
-/// tree; root spans and spans recorded without a node index omit it.
+/// same request's span of its `blocking_parent` node — the parent whose
+/// message arrived last, the edge the critical-path extractor walks — so
+/// Zipkin/Jaeger render the request as a tree whose `critical` spans form
+/// one parent chain; root spans and spans recorded without a node index
+/// omit it.
 void export_spans_json(const Tracer& tracer, const app::Application& application,
                        std::ostream& out, const SpanExportOptions& options = {});
 

@@ -33,8 +33,9 @@ struct Span {
   /// spans) — the extractor then collapses the wait phases into queue time.
   SimTime startable_at = -1;
   /// DAG parent whose completion message arrived last and therefore bounded
-  /// `startable_at` (ties break to the lower parent node index — the same
-  /// convention as the Zipkin parentId link). kNoNode for roots.
+  /// `startable_at` (ties break to the lower parent node index). The
+  /// critical-path walk follows it and the Zipkin parentId names its span.
+  /// kNoNode for roots.
   std::uint32_t blocking_parent = kNoNode;
   /// Execution time of earlier attempts voided by crashes/faults/timeouts,
   /// clipped to the final wait window [startable_at, start].

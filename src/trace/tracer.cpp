@@ -10,8 +10,6 @@ void Tracer::on_request_arrival(RequestId id, RequestTypeId type, SimTime t) {
   auto [it, inserted] = records_.emplace(id, RequestRecord{id, type, t, std::nullopt});
   VMLP_CHECK_MSG(inserted, "duplicate request id " << id.value());
   (void)it;
-  order_.push_back(id);
-  ++arrived_;
 }
 
 void Tracer::on_request_completion(RequestId id, SimTime t) {
@@ -20,7 +18,6 @@ void Tracer::on_request_completion(RequestId id, SimTime t) {
   VMLP_CHECK_MSG(!it->second.completion.has_value(), "request " << id.value() << " completed twice");
   VMLP_CHECK_MSG(t >= it->second.arrival, "completion precedes arrival");
   it->second.completion = t;
-  ++completed_;
 }
 
 void Tracer::record_span(const Span& span) {
@@ -67,17 +64,15 @@ void Tracer::release_request(RequestId id) {
   records_.erase(id);
 }
 
-const RequestRecord* Tracer::find_request(RequestId id) const {
-  auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
-}
-
 std::vector<const RequestRecord*> Tracer::requests() const {
   std::vector<const RequestRecord*> out;
-  out.reserve(order_.size());
-  for (RequestId id : order_) {
-    if (auto it = records_.find(id); it != records_.end()) out.push_back(&it->second);
-  }
+  out.reserve(records_.size());
+  for (const auto& [id, rec] : records_) out.push_back(&rec);
+  // Sorting by the unique (arrival, id) key makes the order independent of
+  // the hash map's iteration order.
+  std::sort(out.begin(), out.end(), [](const RequestRecord* a, const RequestRecord* b) {
+    return a->arrival != b->arrival ? a->arrival < b->arrival : a->id < b->id;
+  });
   return out;
 }
 

@@ -68,11 +68,8 @@ class Tracer {
   /// Span slots allocated so far, live or on the free list. With completed
   /// requests released, this stays at the in-flight set's peak span count.
   [[nodiscard]] std::size_t span_slots() const { return spans_.size(); }
-  [[nodiscard]] const RequestRecord* find_request(RequestId id) const;
-  [[nodiscard]] std::size_t request_count() const { return arrived_; }
-  [[nodiscard]] std::size_t completed_count() const { return completed_; }
 
-  /// All live (non-released) request records, in arrival order.
+  /// All live (non-released) request records, in (arrival, id) order.
   [[nodiscard]] std::vector<const RequestRecord*> requests() const;
 
   /// Spans of one request, in start-time order.
@@ -92,10 +89,7 @@ class Tracer {
   std::uint32_t free_head_ = kNone;
   bool released_any_ = false;
   std::unordered_map<RequestId, RequestRecord> records_;
-  std::vector<RequestId> order_;
   std::unordered_map<RequestId, SpanChain> chains_;
-  std::size_t arrived_ = 0;
-  std::size_t completed_ = 0;
 };
 
 }  // namespace vmlp::trace

@@ -85,11 +85,6 @@ TEST(Cluster, Construction) {
   EXPECT_THROW((void)c.machine(MachineId(4)), InvariantError);
 }
 
-TEST(Cluster, TotalCapacity) {
-  Cluster c(small_params());
-  EXPECT_EQ(c.total_capacity(), (ResourceVector{4000, 8000, 400}));
-}
-
 TEST(Cluster, OverallUtilization) {
   Cluster c(small_params());
   EXPECT_DOUBLE_EQ(c.overall_utilization(), 0.0);

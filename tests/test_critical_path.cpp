@@ -221,7 +221,8 @@ TEST(CriticalPathDriver, RecordedRequestsTelescopeExactlyUnderFailures) {
   for (const RequestRecord* rec : driver.tracer().requests()) {
     if (!rec->finished()) continue;
     const app::Dag& dag = application->request(rec->type).dag();
-    const auto path = extract_critical_path(*rec, driver.tracer().spans_of(rec->id), &dag);
+    const auto path = extract_critical_path(rec->arrival, *rec->completion,
+                                            driver.tracer().spans_of(rec->id), &dag);
     ASSERT_FALSE(path.steps.empty());
     EXPECT_EQ(path.phase_sum(), rec->latency()) << "request " << rec->id.value();
     for (const OffPathSlack& off : path.off_path) EXPECT_GE(off.slack, 0);
@@ -292,7 +293,8 @@ TEST(CriticalPathDriver, HealPhaseReadsTimeOnContendedCrashingCell) {
   for (const RequestRecord* rec : driver.tracer().requests()) {
     if (!rec->finished()) continue;
     const app::Dag& dag = application->request(rec->type).dag();
-    const auto path = extract_critical_path(*rec, driver.tracer().spans_of(rec->id), &dag);
+    const auto path = extract_critical_path(rec->arrival, *rec->completion,
+                                            driver.tracer().spans_of(rec->id), &dag);
     EXPECT_EQ(path.phase_sum(), rec->latency()) << "request " << rec->id.value();
     ++checked;
   }

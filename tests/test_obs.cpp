@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,10 +16,12 @@
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "exp/trial_runner.h"
+#include "loadgen/generator.h"
 #include "obs/collector.h"
 #include "obs/events.h"
 #include "obs/export.h"
 #include "obs/registry.h"
+#include "sched/driver.h"
 #include "trace/export.h"
 #include "trace/tracer.h"
 #include "workloads/suite.h"
@@ -532,19 +535,16 @@ TEST(ObsZipkin, SpansRoundtripWithParentIdAndRack) {
 
   trace::Tracer tracer;
   tracer.on_request_arrival(RequestId(7), RequestTypeId(0), 100);
-  // Two executions of the root node (a retry) plus one child: the child's
-  // Zipkin parent must be the *latest-finishing* root instance.
-  trace::Span root_early{RequestId(7), RequestTypeId(0), ServiceTypeId(0), InstanceId(1),
-                         MachineId(3), 1000, 4000};
-  root_early.node = 0;
-  trace::Span root_late{RequestId(7), RequestTypeId(0), ServiceTypeId(0), InstanceId(2),
-                        MachineId(41), 1500, 5000};
-  root_late.node = 0;
+  // One span per node, as the driver records: the root and one child that
+  // the root's message unblocked.
+  trace::Span root{RequestId(7), RequestTypeId(0), ServiceTypeId(0), InstanceId(2),
+                   MachineId(41), 1500, 5000};
+  root.node = 0;
   trace::Span child{RequestId(7), RequestTypeId(0), ServiceTypeId(1), InstanceId(3),
                     MachineId(5), 5200, 6000};
   child.node = child_node;
-  tracer.record_span(root_early);
-  tracer.record_span(root_late);
+  child.blocking_parent = 0;
+  tracer.record_span(root);
   tracer.record_span(child);
 
   std::ostringstream os;
@@ -553,7 +553,7 @@ TEST(ObsZipkin, SpansRoundtripWithParentIdAndRack) {
   trace::export_spans_json(tracer, *application, os, options);
   const JsonValue spans = JsonParser(os.str()).parse();
   ASSERT_EQ(spans.type, JsonValue::Type::kArray);
-  ASSERT_EQ(spans.items.size(), 3u);
+  ASSERT_EQ(spans.items.size(), 2u);
 
   auto find_span = [&](const std::string& id) -> const JsonValue& {
     for (const JsonValue& s : spans.items) {
@@ -561,8 +561,7 @@ TEST(ObsZipkin, SpansRoundtripWithParentIdAndRack) {
     }
     throw std::runtime_error("span not found: " + id);
   };
-  // Roots carry no parentId.
-  EXPECT_EQ(find_span("1").get("parentId"), nullptr);
+  // The root carries no parentId.
   EXPECT_EQ(find_span("2").get("parentId"), nullptr);
   const JsonValue& child_out = find_span("3");
   EXPECT_EQ(child_out.get_str("parentId"), "2");
@@ -574,6 +573,151 @@ TEST(ObsZipkin, SpansRoundtripWithParentIdAndRack) {
   EXPECT_EQ(find_span("2").get("localEndpoint")->get_str("ipv4"), "10.0.0.41");
   EXPECT_EQ(find_span("2").get("tags")->get_str("rack"), "2");
   EXPECT_EQ(child_out.get("tags")->get_str("rack"), "0");
+}
+
+TEST(ObsZipkin, ParentIdIsTheBlockingParentNotTheLastToFinish) {
+  // Diamond 0 -> {1, 2} -> 3. Node 1 finishes first but its message reaches
+  // node 3 last (a slow link), so the driver records it as node 3's
+  // blocking parent; node 2 finishes last. parentId must follow the
+  // recorded edge, the one the critical-path extractor walks.
+  app::Application application("diamond");
+  std::vector<ServiceTypeId> svc;
+  for (const char* name : {"a", "b", "c", "d"}) {
+    svc.push_back(application.add_service(name, {100, 100, 10}, 10 * kMsec,
+                                          app::ServiceClass{1, 1, 1},
+                                          app::ResourceIntensity::kCpu));
+  }
+  auto builder = application.build_request("diamond");
+  builder.node(svc[0]).node(svc[1]).node(svc[2]).node(svc[3]);
+  builder.edge(0, 1).edge(0, 2).edge(1, 3).edge(2, 3);
+  const RequestTypeId rt = builder.commit();
+
+  trace::Tracer tracer;
+  tracer.on_request_arrival(RequestId(1), rt, 0);
+  auto record = [&](std::uint32_t node, SimTime start, SimTime end, SimTime startable,
+                    std::uint32_t blocking) {
+    trace::Span s{RequestId(1), rt, svc[node], InstanceId(10 + node), MachineId(node), start,
+                  end};
+    s.node = node;
+    s.startable_at = startable;
+    s.blocking_parent = blocking;
+    tracer.record_span(s);
+  };
+  record(0, 10, 100, 5, trace::Span::kNoNode);
+  record(1, 110, 300, 105, 0);  // A: finishes first, message arrives at 400
+  record(2, 110, 350, 105, 0);  // B: finishes last, message arrives at 360
+  record(3, 420, 500, 400, 1);
+  tracer.on_request_completion(RequestId(1), 500);
+
+  std::ostringstream os;
+  trace::SpanExportOptions options;
+  options.mark_critical = true;
+  trace::export_spans_json(tracer, application, os, options);
+  const JsonValue spans = JsonParser(os.str()).parse();
+  ASSERT_EQ(spans.items.size(), 4u);
+  EXPECT_EQ(spans.items[0].get("parentId"), nullptr);
+  EXPECT_EQ(spans.items[1].get_str("parentId"), "10");
+  EXPECT_EQ(spans.items[2].get_str("parentId"), "10");
+  EXPECT_EQ(spans.items[3].get_str("parentId"), "11") << "parent must be the blocking node 1";
+  // The critical tags mark the same chain: 0 -> 1 -> 3.
+  for (std::size_t i : {0u, 1u, 3u}) {
+    ASSERT_NE(spans.items[i].get("tags")->get("critical"), nullptr) << "span " << i;
+  }
+  EXPECT_EQ(spans.items[2].get("tags")->get("critical"), nullptr);
+}
+
+TEST(ObsZipkin, DriverRunParentIdsFollowBlockingParentsAndCriticalSpansChain) {
+  auto application = workloads::make_benchmark_suite();
+  auto scheduler = exp::make_scheduler(exp::SchemeKind::kVmlp);
+  sched::DriverParams p;
+  p.horizon = 3 * kSec;
+  p.cluster.machine_count = 10;
+  p.machines_per_rack = 5;
+  p.seed = 2022;
+  sched::SimulationDriver driver(*application, *scheduler, p);
+  loadgen::PatternParams pp;
+  pp.horizon = p.horizon;
+  pp.base_rate = 16.0;
+  pp.max_rate = 48.0;
+  pp.peak_time = p.horizon / 2;
+  const auto pattern = loadgen::WorkloadPattern::make(loadgen::PatternKind::kL1Pulse, pp, 3);
+  Rng rng(3);
+  driver.load_arrivals(loadgen::generate_arrivals(
+      pattern, loadgen::RequestMix::all(*application), rng));
+  const sched::RunResult r = driver.run();
+  ASSERT_GT(r.completed, 50u);
+
+  std::ostringstream os;
+  trace::SpanExportOptions options;
+  options.mark_critical = true;
+  trace::export_spans_json(driver.tracer(), *application, os, options);
+  const JsonValue out = JsonParser(os.str()).parse();
+  const std::vector<trace::Span>& spans = driver.tracer().spans();
+  ASSERT_EQ(out.items.size(), spans.size());
+
+  // Every non-root span's parentId is the instance of its blocking parent's
+  // span (spans export in recorded order, one per DAG node).
+  std::map<std::pair<std::uint64_t, std::uint32_t>, const trace::Span*> by_node;
+  for (const trace::Span& s : spans) by_node[{s.request.value(), s.node}] = &s;
+  std::size_t multi_parent = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const trace::Span& s = spans[i];
+    const JsonValue* parent_id = out.items[i].get("parentId");
+    const auto& parents = application->request(s.request_type).dag().parents(s.node);
+    if (parents.size() >= 2) ++multi_parent;
+    if (s.blocking_parent == trace::Span::kNoNode) {
+      EXPECT_TRUE(parents.empty()) << "only roots lack a blocking parent";
+      EXPECT_EQ(parent_id, nullptr);
+      continue;
+    }
+    const trace::Span* parent = by_node.at({s.request.value(), s.blocking_parent});
+    ASSERT_NE(parent_id, nullptr);
+    EXPECT_EQ(parent_id->str, std::to_string(parent->instance.value()));
+  }
+  EXPECT_GT(multi_parent, 0u) << "the run must exercise nodes with two or more parents";
+
+  // Each finished request's critical spans form one parentId chain from its
+  // sink (latest end, ties to the lower node) to a root.
+  constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
+  struct Marked {
+    std::vector<std::size_t> critical;  ///< indices into spans/out.items
+    std::size_t sink = kUnset;
+  };
+  std::map<std::uint64_t, Marked> by_request;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    Marked& m = by_request[spans[i].request.value()];
+    if (m.sink == kUnset || spans[i].end > spans[m.sink].end ||
+        (spans[i].end == spans[m.sink].end && spans[i].node < spans[m.sink].node)) {
+      m.sink = i;
+    }
+    if (out.items[i].get("tags")->get("critical") != nullptr) m.critical.push_back(i);
+  }
+  std::size_t chains = 0;
+  for (const trace::RequestRecord* rec : driver.tracer().requests()) {
+    if (!rec->finished()) continue;
+    const Marked& m = by_request.at(rec->id.value());
+    ASSERT_FALSE(m.critical.empty()) << "request " << rec->id.value();
+    std::map<std::string, std::size_t> critical_by_id;
+    for (std::size_t i : m.critical) critical_by_id[out.items[i].get_str("id")] = i;
+    ASSERT_EQ(critical_by_id.size(), m.critical.size());
+    ASSERT_EQ(critical_by_id.count(out.items[m.sink].get_str("id")), 1u)
+        << "the sink of request " << rec->id.value() << " is not marked critical";
+    // Walk parentId from the sink: it must visit every critical span once and
+    // stop at a root.
+    std::size_t cur = m.sink;
+    std::size_t visited = 1;
+    while (const JsonValue* parent_id = out.items[cur].get("parentId")) {
+      const auto it = critical_by_id.find(parent_id->str);
+      ASSERT_TRUE(it != critical_by_id.end())
+          << "request " << rec->id.value() << ": chain leaves the critical set";
+      cur = it->second;
+      ASSERT_LE(++visited, m.critical.size());
+    }
+    EXPECT_EQ(spans[cur].blocking_parent, trace::Span::kNoNode);
+    EXPECT_EQ(visited, m.critical.size()) << "request " << rec->id.value();
+    ++chains;
+  }
+  EXPECT_EQ(chains, r.completed);
 }
 
 TEST(ObsZipkin, NodelessSpansStayParentless) {
